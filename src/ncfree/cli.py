@@ -5,7 +5,9 @@ spec digest, RNG name) so results are traceable; CSV payloads are free of
 timestamps and therefore byte-identical across reruns with the same seed.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage or configuration error.
+2 usage or configuration error.  A negative --degree or --trials and an
+--out file that cannot be written are usage errors (2), never a
+verification failure.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from pathlib import Path
 from . import __version__
 from .conjugate import (
     ConjugateCandidate,
+    VerificationReport,
     check_conjugate,
     check_duality,
     fisher,
 )
 from .errors import ConjugateCheckFailed, NcfreeError
 from .ncpoly import NcPoly
-from .randmat import EnsembleConfig, empirical_margins, spectrum
+from .randmat import RNG_NAME, EnsembleConfig, empirical_margins, spectrum
 from .reduction import extract_leading_coeff, relation_kernel
 from .sweeps import rand_nonzero_poly, rand_word
 from .trace import DEFAULT_DEGREE_BOUND, DistributionSpec, TraceFunctional
@@ -115,7 +118,7 @@ def make_metadata(args, data: dict) -> dict:
         "command": args.command,
         "seed": args.seed,
         "spec_digest": data["_digest"],
-        "rng": "numpy-pcg64",
+        "rng": RNG_NAME,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 
@@ -126,7 +129,7 @@ def emit(args, data: dict, result: dict, csv_rows: list[list[str]] | None = None
         rows = csv_rows if csv_rows is not None else _flatten_csv(result)
         payload = "\n".join(",".join(row) for row in rows) + "\n"
         if args.out:
-            Path(args.out).write_text(payload)
+            write_out(args.out, payload)
         else:
             sys.stdout.write(payload)
         # metadata never enters the CSV payload, to keep reruns byte-identical
@@ -134,9 +137,16 @@ def emit(args, data: dict, result: dict, csv_rows: list[list[str]] | None = None
     else:
         document = json.dumps({"metadata": metadata, "result": result}, indent=2)
         if args.out:
-            Path(args.out).write_text(document + "\n")
+            write_out(args.out, document + "\n")
         else:
             print(document)
+
+
+def write_out(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out file: {exc}") from exc
 
 
 def _flatten_csv(result: dict, prefix: str = "") -> list[list[str]]:
@@ -262,10 +272,14 @@ def cmd_report(args, data: dict) -> int:
     xi = parse_xi(args.xi, spec.n)
     bound = data.get("degree_bound", DEFAULT_DEGREE_BOUND)
     cand = ConjugateCandidate(xi, spec, degree_bound=bound)
-    trace = TraceFunctional(spec, bound)
-    conjugate_report = check_conjugate(cand, args.degree)
+    try:
+        info = fisher(cand, degree=args.degree)
+    except ConjugateCheckFailed as exc:
+        info, conjugate_report = None, exc.report
+    else:
+        conjugate_report = VerificationReport(info.degree_checked, ())
     kernel_degree = min(args.degree, bound // 2)
-    kernel = relation_kernel(trace, kernel_degree)
+    kernel = relation_kernel(cand.trace, kernel_degree)
     result = {
         "conjugate": conjugate_report.to_dict(),
         "relations": {
@@ -274,8 +288,7 @@ def cmd_report(args, data: dict) -> int:
             "kernel": [p.to_text() for p in kernel],
         },
     }
-    if conjugate_report.passed:
-        info = fisher(cand, degree=args.degree)
+    if info is not None:
         result["fisher_information"] = {
             "exact": str(info.exact),
             "value": info.value,
@@ -344,10 +357,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_counts(args) -> None:
+    for flag in ("degree", "trials"):
+        value = getattr(args, flag, 0)
+        if value < 0:
+            raise ConfigError(f"--{flag} must be non-negative, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_counts(args)
         data = load_spec_file(args.spec)
         return args.func(args, data)
     except ConfigError as exc:

@@ -17,8 +17,7 @@ whose closed forms on P (x) 1 and 1 (x) P serve as independent cross-checks.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .derivations import d, d_leg_sum

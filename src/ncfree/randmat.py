@@ -14,7 +14,7 @@ is order-independent.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,16 +25,11 @@ from .conjugate import ConjugateCandidate, dstar, dstar_left, dstar_right
 from .derivations import d
 from .errors import EvaluationError
 from .ncpoly import NcPoly
-from .trace import TraceFunctional
 
 RNG_NAME = "numpy-pcg64"
 
 #: default window-width constant for the atom scan; width is c / sqrt(count)
 ATOM_WINDOW_SCALE = 4.0
-
-#: per-word-length constants for the moment-convergence bound
-#: |empirical - symbolic| <= 5 * constant / sqrt(N); calibrated on GUE runs
-MOMENT_CONVERGENCE_CONSTANTS = {0: 0.1, 1: 0.5, 2: 0.5, 3: 1.0, 4: 1.0, 5: 2.0, 6: 2.0}
 
 
 # ---------------------------------------------------------------------------

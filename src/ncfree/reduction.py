@@ -17,7 +17,6 @@ from .derivations import d
 from .errors import NonPositiveMoments
 from .ncpoly import NcPoly, Word
 from .scalars import Scalar
-from .tensor import TensorPoly2
 from .trace import TraceFunctional
 
 
@@ -76,7 +75,6 @@ def gram_matrix(
     trace: TraceFunctional, words: list[Word]
 ) -> list[list[Scalar]]:
     """Matrix of inner products <w, w'> = tau(w w'*) over the given words."""
-    n = trace.spec.n
     matrix = []
     for w1 in words:
         row = []

@@ -12,19 +12,21 @@ A DistributionSpec describes the joint distribution of the n generators:
 * ExplicitMoments -- a user-supplied word -> value table up to a degree bound.
 
 Both free variants are evaluated by the same block-of-the-first-element
-recursion over non-crossing partitions, exactly in rational arithmetic.
+recursion over non-crossing partitions, exactly, on Scalar values.  A block
+of a letter never grows past that letter's last nonzero cumulant, so
+semicircular words only ever pair letters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DegreeBoundExceeded, NonPositiveMoments, UnknownMoment
 from .ncpoly import NcPoly, Word
-from .scalars import Scalar
+from .scalars import ONE, ZERO, Scalar
 from .tensor import TensorPoly2, TensorPoly3
 
 DEFAULT_DEGREE_BOUND = 12
@@ -205,21 +207,22 @@ class TraceFunctional:
     def __init__(self, spec: DistributionSpec, degree_bound: int = DEFAULT_DEGREE_BOUND):
         self.spec = spec
         self.degree_bound = degree_bound
-        self._memo: dict[Word, Scalar] = {(): Scalar(1)}
+        self._memo: dict[Word, Scalar] = {(): ONE}
         variant = spec.variant
         if isinstance(variant, SemicircularFamily):
-            self._cumulants = [
-                [Fraction(0), v] + [Fraction(0)] * max(0, degree_bound - 2)
-                for v in variant.variances
-            ]
-        elif isinstance(variant, FreeFamily):            # pad so blocks up to the degree bound are addressable
-            self._cumulants = []
-            for seq in variant.moments:
-                kappa = free_cumulants(seq)
-                kappa += [Fraction(0)] * max(0, degree_bound - len(kappa))
-                self._cumulants.append(kappa)
+            kappas = [[0, v] for v in variant.variances]
+        elif isinstance(variant, FreeFamily):
+            kappas = [free_cumulants(seq) for seq in variant.moments]
         else:
-            self._cumulants = None
+            kappas = []
+        # per letter, kappa_1..kappa_m cut after the last nonzero cumulant:
+        # no block of that letter can be longer than m
+        self._cumulants: list[list[Scalar]] = []
+        for kappa in kappas:
+            kappa = [Scalar(k) for k in kappa]
+            while kappa and not kappa[-1]:
+                kappa.pop()
+            self._cumulants.append(kappa)
 
     # -- moments ---------------------------------------------------------
 
@@ -254,38 +257,37 @@ class TraceFunctional:
             except KeyError:
                 raise UnknownMoment(f"no table entry for word {word}") from None
         else:
-            value = Scalar(self._nc_moment(word))
+            value = self._nc_moment(word)
         self._memo[word] = value
         return value
 
-    def _nc_moment(self, word: Word) -> Fraction:
+    def _nc_moment(self, word: Word) -> Scalar:
         """Sum over non-crossing partitions with monochromatic blocks."""
-        if not word:
-            return Fraction(1)
         cached = self._memo.get(word)
         if cached is not None:
-            return cached.re
+            return cached
         letter = word[0]
         kappa = self._cumulants[letter - 1]
-        total = Fraction(0)
+        total = ZERO
         # the block of position 0: positions 0 = p_0 < p_1 < ... < p_{m-1}
         # with word[p_i] == letter; the gaps and the tail factorize.
-        def extend(start: int, block_size: int, acc: Fraction) -> None:
+        def extend(start: int, block_size: int, acc: Scalar) -> None:
             nonlocal total
-            if acc == 0:
-                return
             # close the block: the tail word[start:] is a free factor
-            if kappa[block_size - 1] != 0:
-                total += acc * kappa[block_size - 1] * self._nc_moment(word[start:])
-            if block_size >= len(kappa):
-                return
+            k = kappa[block_size - 1]
+            if k:
+                total = total + acc * k * self._nc_moment(word[start:])
+            if block_size == len(kappa):
+                return  # every longer block has a zero cumulant
             for nxt in range(start, len(word)):
                 if word[nxt] == letter:
                     gap = self._nc_moment(word[start:nxt])
-                    extend(nxt + 1, block_size + 1, acc * gap)
+                    if gap:
+                        extend(nxt + 1, block_size + 1, acc * gap)
 
-        extend(1, 1, Fraction(1))
-        self._memo[word] = Scalar(total)
+        if kappa:  # otherwise the letter is the zero variable
+            extend(1, 1, ONE)
+        self._memo[word] = total
         return total
 
     # -- linear extensions --------------------------------------------------

@@ -274,3 +274,34 @@ def test_output_file(semicircular_spec, tmp_path):
     assert code == 0
     document = json.loads(out.read_text())
     assert document["result"]["passed"] is True
+
+
+# -- usage errors at the boundary ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-conjugate", "--xi", "1 * Z 1;1 * Z 2", "--degree", "-3"],
+        ["duality", "--trials", "-5"],
+        ["margins", "--xi", "1 * Z 1;1 * Z 2", "--trials", "-1"],
+    ],
+)
+def test_negative_counts_are_usage_errors(semicircular_spec, capsys, argv):
+    assert main(argv[:1] + ["--spec", semicircular_spec] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "must be non-negative" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["structured", "csv"])
+def test_unwritable_output_is_a_usage_error(semicircular_spec, tmp_path, capsys, fmt):
+    out = tmp_path / "missing" / "dir" / "x.json"
+    code = main(
+        ["relations", "--spec", semicircular_spec, "--degree", "1",
+         "--format", fmt, "--out", str(out)]
+    )
+    assert code == 2
+    assert "error: cannot write --out file" in capsys.readouterr().err
+    assert not out.exists()
