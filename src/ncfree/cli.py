@@ -5,9 +5,12 @@ spec digest, RNG name) so results are traceable; CSV payloads are free of
 timestamps and therefore byte-identical across reruns with the same seed.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage or configuration error.  A negative --degree or --trials and an
---out file that cannot be written are usage errors (2), never a
-verification failure.
+2 usage or configuration error, 3 internal error.  A negative --degree or
+--trials, an --out file that cannot be written, an inconsistent explicit
+moment table and a Gram matrix that is not positive semidefinite are usage
+errors (2), never a verification failure.  Any other exception is reported
+as an internal error (3): an `internal error:` line and the traceback go to
+stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import hashlib
 import json
 import random
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -38,6 +42,7 @@ from .trace import DEFAULT_DEGREE_BOUND, DistributionSpec, TraceFunctional
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class ConfigError(Exception):
@@ -377,6 +382,10 @@ def main(argv: list[str] | None = None) -> int:
     except NcfreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from .conjugate import words_up_to
 from .derivations import d
 from .errors import NonPositiveMoments
 from .ncpoly import NcPoly, Word
-from .scalars import Scalar
+from .scalars import ONE, ZERO, Scalar
 from .trace import TraceFunctional
 
 
@@ -74,68 +74,99 @@ def extract_leading_coeff(
 def gram_matrix(
     trace: TraceFunctional, words: list[Word]
 ) -> list[list[Scalar]]:
-    """Matrix of inner products <w, w'> = tau(w w'*) over the given words."""
-    matrix = []
-    for w1 in words:
-        row = []
-        for w2 in words:
-            row.append(trace.moment(w1 + w2[::-1]))
-        matrix.append(row)
-    for i, w in enumerate(words):
-        diag = matrix[i][i]
+    """Matrix of inner products <w, w'> = tau(w w'*) over the given words.
+
+    Only the entries on and above the diagonal are moments; the rest follow
+    from <w', w> = conj <w, w'>, which tau(u*) = conj tau(u) guarantees.
+    """
+    size = len(words)
+    matrix: list[list[Scalar]] = [[ZERO] * size for _ in range(size)]
+    for i, w1 in enumerate(words):
+        diag = trace.moment(w1 + w1[::-1])
         if diag.im != 0 or diag.re < 0:
             raise NonPositiveMoments(
-                f"<w,w> = {diag} for word {w}: moment table is not positive"
+                f"<w,w> = {diag} for word {w1}: moment table is not positive"
             )
+        row = matrix[i]
+        row[i] = diag
+        for j in range(i + 1, size):
+            value = trace.moment(w1 + words[j][::-1])
+            row[j] = value
+            matrix[j][i] = value.conjugate()
     return matrix
 
 
 def nullspace(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Exact null-space basis by Gaussian elimination with full pivoting."""
-    if not matrix:
-        return []
-    rows = [list(row) for row in matrix]
-    m, cols = len(rows), len(rows[0])
-    col_order = list(range(cols))
-    pivots = 0
-    for step in range(min(m, cols)):
-        # full pivot: largest |entry|^2 in the remaining block
-        best = None
-        best_val = 0
-        for i in range(step, m):
-            for jc in range(step, cols):
-                mag = rows[i][jc].abs2()
-                if mag > best_val:
-                    best_val = mag
-                    best = (i, jc)
-        if best is None:
-            break
-        bi, bj = best
-        rows[step], rows[bi] = rows[bi], rows[step]
-        if bj != step:
-            for row in rows:
-                row[step], row[bj] = row[bj], row[step]
-            col_order[step], col_order[bj] = col_order[bj], col_order[step]
-        pivot = rows[step][step]
-        rows[step] = [entry / pivot for entry in rows[step]]
-        for i in range(m):
-            if i == step:
-                continue
-            factor = rows[i][step]
-            if factor.is_zero():
-                continue
-            rows[i] = [
-                entry - factor * rows[step][jc]
-                for jc, entry in enumerate(rows[i])
-            ]
-        pivots += 1
+    """Exact null-space basis of a Hermitian positive semidefinite matrix.
+
+    Only the upper triangle is read.  The columns are eliminated in order
+    on the diagonal of the current Schur complement (an LDL* factorization
+    without pivot search): in a PSD matrix a zero diagonal entry forces a
+    zero row, so that column is free and nothing has to be swapped.  The
+    rows are kept sparse, so fill-in never leaves a connected component of
+    the nonzero pattern.
+
+    The basis is the reduced-row-echelon one: for each free column f in
+    increasing order, the null vector with 1 at f and 0 at every other free
+    column.  It depends on the matrix alone, not on the elimination order.
+
+    Raises NonPositiveMoments when a pivot is not a positive real or a zero
+    pivot has a nonzero entry left in its row, since the matrix is then not
+    PSD and an empty basis would be a false certificate.
+    """
+    size = len(matrix)
+    # rows[i] holds the nonzero entries j >= i of the current Schur complement
+    rows: list[dict[int, Scalar]] = [
+        {j: entry for j, entry in enumerate(row[i:], i) if entry}
+        for i, row in enumerate(matrix)
+    ]
+    # for each pivot column k: row k of the factor, divided by its pivot
+    factors: dict[int, dict[int, Scalar]] = {}
+    free: list[int] = []
+    for k, row in enumerate(rows):
+        pivot = row.pop(k, ZERO)
+        if not pivot:
+            if row:
+                raise NonPositiveMoments(
+                    f"zero pivot at column {k} with a nonzero entry in its row: "
+                    "the matrix is not positive semidefinite"
+                )
+            free.append(k)
+            continue
+        if pivot.im != 0 or pivot.re < 0:
+            raise NonPositiveMoments(
+                f"pivot {pivot} at column {k} is not a positive real: "
+                "the matrix is not positive semidefinite"
+            )
+        factor = {j: entry / pivot for j, entry in row.items()}
+        factors[k] = factor
+        # S[i][j] -= conj(S[k][i]) S[k][j] / pivot for k < i <= j
+        for i, scaled in factor.items():
+            target = rows[i]
+            multiplier = scaled.conjugate()
+            for j, entry in row.items():
+                if j < i:
+                    continue
+                value = target.get(j, ZERO) - multiplier * entry
+                if value:
+                    target[j] = value
+                else:
+                    target.pop(j, None)
     basis = []
-    for free_col in range(pivots, cols):
-        vector = [Scalar(0)] * cols
-        vector[col_order[free_col]] = Scalar(1)
-        for pivot_row in range(pivots):
-            vector[col_order[pivot_row]] = -rows[pivot_row][free_col]
-        basis.append(vector)
+    for f in free:
+        # back-substitute over the pivot columns before f
+        vector = {f: ONE}
+        for k in reversed(factors):
+            if k > f:
+                continue
+            total = ZERO
+            for j, scaled in factors[k].items():
+                component = vector.get(j)
+                if component is not None:
+                    total = total + scaled * component
+            if total:
+                vector[k] = -total
+        basis.append([vector.get(j, ZERO) for j in range(size)])
     return basis
 
 

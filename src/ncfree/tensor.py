@@ -151,12 +151,13 @@ class TensorPoly2:
         """m_eta: a (x) b -> a * eta * b, linearly (polynomial eta only)."""
         if eta.n != self.n:
             raise GeneratorCountMismatch(f"{self.n} generators vs {eta.n}")
-        result = NcPoly.zero(self.n)
-        for (w1, w2), coeff in self.terms.items():
-            result = result + (
-                NcPoly.monomial(self.n, w1, coeff) * eta * NcPoly.monomial(self.n, w2)
-            )
-        return result
+        terms: dict[Word, Scalar] = {}
+        for (w1, w2), c1 in self.terms.items():
+            for w, c2 in eta.terms.items():
+                word = w1 + w + w2
+                acc = terms.get(word)
+                terms[word] = c1 * c2 if acc is None else acc + c1 * c2
+        return NcPoly(self.n, terms)
 
     # -- text form --------------------------------------------------------
     # `coeff * (Z i1 ... | Z j1 ...)`, terms joined by ` + `.

@@ -83,6 +83,53 @@ class ExplicitMoments:
 Variant = SemicircularFamily | FreeFamily | ExplicitMoments
 
 
+def _word_text(word: Word) -> str:
+    return "(" + " ".join(map(str, word)) + ")"
+
+
+def _check_table(n: int, variant: ExplicitMoments) -> None:
+    """Reject a table that no tracial state on n self-adjoint letters has.
+
+    Entries must use letters 1..n and lengths up to the degree, and every
+    entry present must agree with the others under traciality,
+    tau(rotation of w) = tau(w), and the star, tau(w*) = conj tau(w).
+    A word that is a rotation of its own reversal (a palindrome, say) must
+    therefore have a real moment.  Missing words are allowed.
+    """
+    table = variant.table
+    for word, value in table.items():
+        for letter in word:
+            if not 1 <= letter <= n:
+                raise ValueError(
+                    f"explicit moment word {_word_text(word)} has letter "
+                    f"{letter} outside 1..{n}"
+                )
+        if len(word) > variant.degree:
+            raise ValueError(
+                f"explicit moment word {_word_text(word)} is longer than "
+                f"the table degree {variant.degree}"
+            )
+        reverse = word[::-1]
+        for shift in range(1, len(word)):
+            rotation = word[shift:] + word[:shift]
+            other = table.get(rotation)
+            if other is not None and other != value:
+                raise ValueError(
+                    f"explicit moment table is not tracial: "
+                    f"tau{_word_text(word)} = {value} but its rotation "
+                    f"tau{_word_text(rotation)} = {other}"
+                )
+        for shift in range(max(len(word), 1)):
+            rotation = reverse[shift:] + reverse[:shift]
+            other = table.get(rotation)
+            if other is not None and other != value.conjugate():
+                raise ValueError(
+                    f"explicit moment table breaks tau(w*) = conj tau(w): "
+                    f"tau{_word_text(word)} = {value} but "
+                    f"tau{_word_text(rotation)} = {other}"
+                )
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     n: int
@@ -95,6 +142,8 @@ class DistributionSpec:
         elif isinstance(self.variant, FreeFamily):
             if len(self.variant.moments) != self.n:
                 raise ValueError("need one moment sequence per generator")
+        else:
+            _check_table(self.n, self.variant)
 
     # -- JSON-compatible serialization -------------------------------------
 

@@ -105,3 +105,58 @@ def moments_from_cumulants_oracle(k, kappa):
     """Single-variable m_k from cumulants by full partition enumeration."""
     word = (1,) * k
     return free_moment_oracle(word, [list(kappa) + [Fraction(0)] * k])
+
+
+def _c_sub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _c_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _c_div(a, b):
+    norm = b[0] * b[0] + b[1] * b[1]
+    return (
+        (a[0] * b[0] + a[1] * b[1]) / norm,
+        (a[1] * b[0] - a[0] * b[1]) / norm,
+    )
+
+
+def rref_nullspace_oracle(matrix):
+    """Null basis of a complex matrix by Gauss-Jordan reduction to RREF.
+
+    Entries are (re, im) pairs of Fractions.  Columns are reduced left to
+    right, each on the first row with a nonzero entry in it; for each free
+    column f in increasing order the basis vector has 1 at f, 0 at every
+    other free column and minus the RREF entries of column f at the pivots.
+    """
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    rows = [[(Fraction(re), Fraction(im)) for re, im in row] for row in matrix]
+    cols = len(rows[0]) if rows else 0
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        found = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        lead = rows[r][c]
+        rows[r] = [_c_div(entry, lead) for entry in rows[r]]
+        for i in range(len(rows)):
+            factor = rows[i][c]
+            if i != r and factor != zero:
+                rows[i] = [_c_sub(a, _c_mul(factor, b)) for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+    basis = []
+    for f in range(cols):
+        if f in pivot_cols:
+            continue
+        vector = [zero] * cols
+        vector[f] = one
+        for row_index, c in enumerate(pivot_cols):
+            entry = rows[row_index][f]
+            vector[c] = (-entry[0], -entry[1])
+        basis.append(vector)
+    return basis

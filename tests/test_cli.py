@@ -305,3 +305,51 @@ def test_unwritable_output_is_a_usage_error(semicircular_spec, tmp_path, capsys,
     assert code == 2
     assert "error: cannot write --out file" in capsys.readouterr().err
     assert not out.exists()
+
+
+def write_explicit_spec(tmp_path, n, degree, table):
+    moments = [{"word": list(w), "value": v} for w, v in table.items()]
+    path = tmp_path / "explicit.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": n,
+                "trace": {"variant": "explicit", "degree": degree, "moments": moments},
+            }
+        )
+    )
+    return str(path)
+
+
+def test_relations_on_an_indefinite_gram_is_a_usage_error(tmp_path, capsys):
+    # G = [[1, 2], [2, 1]] is indefinite: no state has these moments, so an
+    # empty kernel would be a false certificate
+    spec = write_explicit_spec(tmp_path, 1, 2, {(): "1", (1,): "2", (1, 1): "1"})
+    code = main(["relations", "--spec", spec, "--degree", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "positive semidefinite" in captured.err
+
+
+def test_non_tracial_table_is_a_usage_error(tmp_path, capsys):
+    table = {(): "1", (1,): "0", (2,): "0", (1, 1): "1", (2, 2): "1",
+             (1, 2): "1", (2, 1): "7"}
+    spec = write_explicit_spec(tmp_path, 2, 2, table)
+    assert main(["relations", "--spec", spec, "--degree", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not tracial" in captured.err
+
+
+def test_crash_is_an_internal_error(semicircular_spec, capsys, monkeypatch):
+    def crash(args, data):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("ncfree.cli.cmd_relations", crash)
+    assert main(["relations", "--spec", semicircular_spec]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert "boom" in captured.err

@@ -18,6 +18,7 @@ from ncfree.sweeps import rand_nonzero_poly, rand_self_adjoint, rand_word
 from ncfree.trace import ExplicitMoments
 
 from conftest import bernoulli_spec, gens
+from oracles import rref_nullspace_oracle
 
 
 # -- delta ----------------------------------------------------------------------
@@ -141,33 +142,75 @@ def test_nullspace_of_rank_one_matrix():
         assert total.is_zero()
 
 
+def gram_of(a, size):
+    """A* A for a list of rows a over `size` columns."""
+    return [
+        [
+            sum((row[i].conjugate() * row[j] for row in a), Scalar(0))
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
+
+
+def rand_rows(rng, rank, size):
+    return [
+        [Scalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(size)]
+        for _ in range(rank)
+    ]
+
+
+def assert_matches_oracle(g, expected_dim):
+    basis = nullspace(g)
+    pairs = [[(entry.re, entry.im) for entry in row] for row in g]
+    oracle = [[Scalar(re, im) for re, im in v] for v in rref_nullspace_oracle(pairs)]
+    assert basis == oracle
+    assert len(basis) == expected_dim
+    for v in basis:
+        for row in g:
+            total = Scalar(0)
+            for entry, comp in zip(row, v):
+                total = total + entry * comp
+            assert total.is_zero()
+
+
 def test_nullspace_random_singular(rng):
-    # build G = A* A with a deliberately rank-deficient A, verify G v = 0
+    # G = A* A with a deliberately rank-deficient A: G v = 0, RREF basis
     for _ in range(25):
         size = rng.randint(2, 5)
         rank = rng.randint(1, size - 1)
-        a = [
-            [Scalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(size)]
-            for _ in range(rank)
-        ]
-        g = [
-            [
-                sum(
-                    (a[k][i].conjugate() * a[k][j] for k in range(rank)),
-                    Scalar(0),
-                )
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
-        basis = nullspace(g)
-        assert len(basis) >= size - rank
-        for v in basis:
-            for row in g:
-                total = Scalar(0)
-                for entry, comp in zip(row, v):
-                    total = total + entry * comp
-                assert total.is_zero()
+        g = gram_of(rand_rows(rng, rank, size), size)
+        assert_matches_oracle(g, size - rank)
+
+
+def test_nullspace_of_interleaved_direct_sums(rng):
+    # two rank-deficient blocks on interleaved indices: two components
+    for _ in range(25):
+        sizes = [rng.randint(2, 4), rng.randint(2, 4)]
+        ranks = [rng.randint(1, s - 1) for s in sizes]
+        size = sum(sizes)
+        order = list(range(size))
+        rng.shuffle(order)
+        slots = [sorted(order[: sizes[0]]), sorted(order[sizes[0]:])]
+        g = [[Scalar(0)] * size for _ in range(size)]
+        for slot, block_size, rank in zip(slots, sizes, ranks):
+            block = gram_of(rand_rows(rng, rank, block_size), block_size)
+            for bi, i in enumerate(slot):
+                for bj, j in enumerate(slot):
+                    g[i][j] = block[bi][bj]
+        assert_matches_oracle(g, size - sum(ranks))
+
+
+def test_nullspace_rejects_non_psd_matrices():
+    # indefinite: the second Schur pivot is 1 - 4 = -3
+    with pytest.raises(NonPositiveMoments):
+        nullspace([[Scalar(1), Scalar(2)], [Scalar(2), Scalar(1)]])
+    # a zero diagonal entry with a nonzero entry in its row
+    with pytest.raises(NonPositiveMoments):
+        nullspace([[Scalar(0), Scalar(1)], [Scalar(1), Scalar(1)]])
+    # a non-real pivot
+    with pytest.raises(NonPositiveMoments):
+        nullspace([[Scalar(1, 1)]])
 
 
 # -- relation detection ----------------------------------------------------------------

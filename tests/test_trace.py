@@ -134,6 +134,44 @@ def test_unknown_moment():
         trace.moment((2,))
 
 
+def explicit(n, degree, table):
+    return DistributionSpec(n, ExplicitMoments(table, degree))
+
+
+def test_explicit_table_rejects_out_of_range_letters():
+    with pytest.raises(ValueError, match="outside 1..1"):
+        explicit(1, 2, {(): 1, (3,): 5})
+    with pytest.raises(ValueError, match="outside 1..2"):
+        explicit(2, 2, {(): 1, (0, 1): 0})
+
+
+def test_explicit_table_rejects_words_beyond_its_degree():
+    with pytest.raises(ValueError, match="longer than the table degree 2"):
+        explicit(1, 2, {(): 1, (1, 1, 1): 0})
+
+
+def test_explicit_table_must_be_tracial():
+    with pytest.raises(ValueError, match="not tracial"):
+        explicit(2, 2, {(): 1, (1,): 0, (2,): 0, (1, 1): 1, (2, 2): 1,
+                        (1, 2): 1, (2, 1): 7})
+    with pytest.raises(ValueError, match="not tracial"):
+        explicit(2, 3, {(1, 1, 2): 1, (1, 2, 1): 2})
+    # agreeing rotations are fine
+    explicit(2, 3, {(): 1, (1, 1, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1})
+
+
+def test_explicit_table_must_respect_the_star():
+    # tau(w*) = conj tau(w): the reversal carries the conjugate value
+    with pytest.raises(ValueError, match="conj"):
+        explicit(3, 3, {(1, 2, 3): Scalar(1, 1), (2, 1, 3): Scalar(1, 1)})
+    explicit(3, 3, {(1, 2, 3): Scalar(1, 1), (2, 1, 3): Scalar(1, -1)})
+    # so a palindrome must have a real moment
+    with pytest.raises(ValueError, match="conj"):
+        explicit(1, 2, {(): 1, (1, 1): Scalar(1, 2)})
+    with pytest.raises(ValueError, match="conj"):
+        explicit(1, 0, {(): Scalar(0, 1)})
+
+
 def test_degree_bound_is_enforced(semi1):
     trace = TraceFunctional(semi1, degree_bound=4)
     assert trace.moment((1,) * 4) == Scalar(2)
