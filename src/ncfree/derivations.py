@@ -31,7 +31,7 @@ def d(j: int, p: NcPoly) -> TensorPoly2:
             key = (word[:pos], word[pos + 1:])
             acc = terms.get(key)
             terms[key] = coeff if acc is None else acc + coeff
-    return TensorPoly2(p.n, terms)
+    return TensorPoly2._trusted(p.n, terms)
 
 
 def d_leg_sum(j: int, s: TensorPoly2) -> TensorPoly3:
@@ -50,4 +50,4 @@ def d_leg_sum(j: int, s: TensorPoly2) -> TensorPoly3:
         for pos, letter in enumerate(w2):
             if letter == j:
                 _accumulate((w1, w2[:pos], w2[pos + 1:]), coeff)
-    return TensorPoly3(s.n, terms)
+    return TensorPoly3._trusted(s.n, terms)

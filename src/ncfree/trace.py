@@ -183,10 +183,14 @@ class DistributionSpec:
                 tuple(tuple(Fraction(m) for m in seq) for seq in data["moments"])
             )
         elif kind == "explicit":
-            table = {
-                tuple(entry["word"]): Scalar.parse(entry["value"])
-                for entry in data["moments"]
-            }
+            table: dict[Word, Scalar] = {}
+            for entry in data["moments"]:
+                word = tuple(entry["word"])
+                if word in table:
+                    raise ValueError(
+                        f"explicit moment word {_word_text(word)} is listed twice"
+                    )
+                table[word] = Scalar.parse(entry["value"])
             variant = ExplicitMoments(table, int(data["degree"]))
         else:
             raise ValueError(f"unknown distribution variant: {kind!r}")
@@ -369,7 +373,7 @@ class TraceFunctional:
                 continue
             acc = terms.get(kept)
             terms[kept] = value if acc is None else acc + value
-        return NcPoly(s.n, terms)
+        return NcPoly._trusted(s.n, terms)
 
     def contract_middle(self, y: TensorPoly3) -> TensorPoly2:
         """(id (x) tau (x) id): trace the middle leg."""
@@ -381,7 +385,7 @@ class TraceFunctional:
             key = (w1, w3)
             acc = terms.get(key)
             terms[key] = value if acc is None else acc + value
-        return TensorPoly2(y.n, terms)
+        return TensorPoly2._trusted(y.n, terms)
 
     def collapse_middle(self, y: TensorPoly3) -> NcPoly:
         """m_1 (id (x) tau (x) id): trace the middle leg, multiply the outer ones."""
@@ -393,7 +397,7 @@ class TraceFunctional:
             word = w1 + w3
             acc = terms.get(word)
             terms[word] = value if acc is None else acc + value
-        return NcPoly(y.n, terms)
+        return NcPoly._trusted(y.n, terms)
 
     # -- inner products and norms ---------------------------------------------
 

@@ -353,3 +353,24 @@ def test_crash_is_an_internal_error(semicircular_spec, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
     assert "boom" in captured.err
+
+
+def test_duplicate_table_word_is_a_usage_error(tmp_path, capsys):
+    # a word listed twice must not silently keep its last value
+    moments = [
+        {"word": [], "value": "1"},
+        {"word": [1], "value": "0"},
+        {"word": [1, 1], "value": "1"},
+        {"word": [1, 1], "value": "-5"},
+    ]
+    path = tmp_path / "duplicate.json"
+    path.write_text(
+        json.dumps(
+            {"n": 1, "trace": {"variant": "explicit", "degree": 2, "moments": moments}}
+        )
+    )
+    assert main(["relations", "--spec", str(path), "--degree", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "(1 1) is listed twice" in captured.err

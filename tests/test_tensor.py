@@ -3,11 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncfree import NcPoly, TensorPoly2
-from ncfree.derivations import d
-from ncfree.errors import GeneratorCountMismatch
+from ncfree.derivations import d, d_leg_sum
+from ncfree.errors import GeneratorCountMismatch, IndexOutOfRange
 from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_poly, rand_self_adjoint
-from ncfree.tensor import bimodule_mul, collapse, flip, sharp, tensor_star
+from ncfree.tensor import TensorPoly3
 
 from conftest import gens
 
@@ -30,63 +30,100 @@ def elem(n, w1, w2, coeff=1):
 def test_sharp_single_term():
     s = elem(3, (1,), (2,))
     t = elem(3, (3,), ())
-    assert sharp(s, t) == elem(3, (1, 3), (2,))
+    assert s.sharp(t) == elem(3, (1, 3), (2,))
 
 
 def test_sharp_unit():
     s = elem(3, (1, 2), (3,), Scalar(2, 1))
     one = TensorPoly2.one(3)
-    assert sharp(one, s) == s
-    assert sharp(s, one) == s
+    assert one.sharp(s) == s
+    assert s.sharp(one) == s
 
 
 def test_sharp_pairing_rule(rng):
     # (P1 (x) P2) # (A (x) B) = (P1 A) (x) (B P2)
     for _ in range(20):
         p1, p2, a, b = (rand_poly(rng, 2, 2) for _ in range(4))
-        lhs = sharp(TensorPoly2.of(p1, p2), TensorPoly2.of(a, b))
+        lhs = TensorPoly2.of(p1, p2).sharp(TensorPoly2.of(a, b))
         assert lhs == TensorPoly2.of(p1 * a, b * p2)
 
 
 @settings(max_examples=40)
 @given(tensors, tensors, tensors)
 def test_sharp_is_associative(s, t, u):
-    assert sharp(sharp(s, t), u) == sharp(s, sharp(t, u))
+    assert s.sharp(t).sharp(u) == s.sharp(t.sharp(u))
 
 
 def test_generator_count_mismatch():
     with pytest.raises(GeneratorCountMismatch):
-        sharp(TensorPoly2.one(2), TensorPoly2.one(3))
+        TensorPoly2.one(2).sharp(TensorPoly2.one(3))
+
+
+# -- validation and canonical form ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cls, key",
+    [
+        (TensorPoly2, ((3,), ())),
+        (TensorPoly2, ((), (1, 0))),
+        (TensorPoly3, ((3,), (), ())),
+        (TensorPoly3, ((), (1, 3), ())),
+        (TensorPoly3, ((), (), (0,))),
+    ],
+)
+def test_letter_out_of_range_in_any_leg(cls, key):
+    with pytest.raises(IndexOutOfRange):
+        cls(2, {key: 1})
+
+
+@pytest.mark.parametrize("cls", [TensorPoly2, TensorPoly3])
+def test_negative_generator_count(cls):
+    with pytest.raises(ValueError):
+        cls(-1)
+
+
+def test_closed_operations_drop_cancelled_terms():
+    z1, one = NcPoly.gen(1, 1), NcPoly.one(1)
+    s = TensorPoly2.of(z1, one) - TensorPoly2.of(one, z1)
+    assert (s - s).terms == {}
+    # the two (Z1 (x) Z1) terms of s # t cancel
+    t = TensorPoly2.of(one, z1) + TensorPoly2.of(z1, one)
+    assert s.sharp(t).terms == {((1, 1), ()): Scalar(1), ((), (1, 1)): Scalar(-1)}
+    # m_1 sends both terms of s to Z1
+    assert s.collapse(one).terms == {}
+    # both legs of s differentiate to 1 (x) 1 (x) 1
+    assert d_leg_sum(1, s).terms == {}
 
 
 # -- flip ------------------------------------------------------------------------
 
 
 def test_flip_definition():
-    assert flip(elem(2, (1,), (2,))) == elem(2, (2,), (1,))
-    assert flip(TensorPoly2.one(2)) == TensorPoly2.one(2)
+    assert elem(2, (1,), (2,)).flip() == elem(2, (2,), (1,))
+    assert TensorPoly2.one(2).flip() == TensorPoly2.one(2)
 
 
 @settings(max_examples=40)
 @given(tensors, tensors)
 def test_flip_is_star_isomorphism(s, t):
-    assert flip(flip(s)) == s
-    assert flip(s * t) == flip(s) * flip(t)
-    assert flip(tensor_star(s)) == tensor_star(flip(s))
+    assert s.flip().flip() == s
+    assert (s * t).flip() == s.flip() * t.flip()
+    assert s.star().flip() == s.flip().star()
 
 
 def test_flip_coderivation_identity_example():
     # flip((d_1 P)*) = d_1(P*) for P = Z1 Z2 Z1
     z1, z2 = gens(2)
     p = z1 * z2 * z1
-    assert flip(tensor_star(d(1, p))) == d(1, p.star())
+    assert d(1, p).star().flip() == d(1, p.star())
 
 
 def test_flip_coderivation_identity_random(rng):
     for _ in range(50):
         p = rand_poly(rng, 3, 6)
         for j in (1, 2, 3):
-            assert flip(tensor_star(d(j, p))) == d(j, p.star())
+            assert d(j, p).star().flip() == d(j, p.star())
 
 
 # -- tensor star -------------------------------------------------------------------
@@ -94,22 +131,22 @@ def test_flip_coderivation_identity_random(rng):
 
 def test_star_componentwise():
     s = elem(3, (1,), (2, 3), Scalar(0, 1))
-    assert tensor_star(s) == elem(3, (1,), (3, 2), Scalar(0, -1))
-    assert tensor_star(TensorPoly2.one(3)) == TensorPoly2.one(3)
+    assert s.star() == elem(3, (1,), (3, 2), Scalar(0, -1))
+    assert TensorPoly2.one(3).star() == TensorPoly2.one(3)
 
 
 def test_derivative_of_anticommutator_is_self_adjoint():
     z1, z2 = gens(2)
     s = d(1, z1 * z2 + z2 * z1)
     assert s == TensorPoly2.of(NcPoly.one(2), z2) + TensorPoly2.of(z2, NcPoly.one(2))
-    assert tensor_star(s) == s
+    assert s.star() == s
 
 
 @settings(max_examples=40)
 @given(tensors, tensors)
 def test_star_antiautomorphism(s, t):
-    assert tensor_star(s * t) == tensor_star(t) * tensor_star(s)
-    assert tensor_star(tensor_star(s)) == s
+    assert (s * t).star() == t.star() * s.star()
+    assert s.star().star() == s
 
 
 # -- bimodule action ------------------------------------------------------------------
@@ -120,14 +157,14 @@ def test_bimodule_example(rng):
     v = rand_self_adjoint(rng, 2, 2)
     w = rand_self_adjoint(rng, 2, 2)
     s = TensorPoly2.of(z1, z1)
-    assert bimodule_mul(v, s, w) == TensorPoly2.of(v * z1, z1 * w)
+    assert s.bimodule_mul(v, w) == TensorPoly2.of(v * z1, z1 * w)
 
 
 def test_bimodule_units():
     s = elem(3, (1, 2), (3,), Scalar(1, 1))
     one = NcPoly.one(3)
-    assert bimodule_mul(one, s, one) == s
-    assert bimodule_mul(NcPoly.gen(3, 2), TensorPoly2.one(3), NcPoly.gen(3, 3)) == elem(
+    assert s.bimodule_mul(one, one) == s
+    assert TensorPoly2.one(3).bimodule_mul(NcPoly.gen(3, 2), NcPoly.gen(3, 3)) == elem(
         3, (2,), (3,)
     )
 
@@ -137,22 +174,22 @@ def test_bimodule_units():
 
 def test_collapse_unit_eta():
     z1, z2 = gens(2)
-    assert collapse(NcPoly.one(2), TensorPoly2.of(z1, z2)) == z1 * z2
-    assert collapse(NcPoly.one(2), TensorPoly2.one(2)) == NcPoly.one(2)
+    assert TensorPoly2.of(z1, z2).collapse(NcPoly.one(2)) == z1 * z2
+    assert TensorPoly2.one(2).collapse(NcPoly.one(2)) == NcPoly.one(2)
 
 
 def test_collapse_is_multiplication_for_unit_eta(rng):
     for _ in range(20):
         a = rand_poly(rng, 2, 3)
         b = rand_poly(rng, 2, 3)
-        assert collapse(NcPoly.one(2), TensorPoly2.of(a, b)) == a * b
+        assert TensorPoly2.of(a, b).collapse(NcPoly.one(2)) == a * b
 
 
 def test_collapse_linearity(rng):
     eta = rand_poly(rng, 2, 2)
     s = rand_tensor = TensorPoly2.of(rand_poly(rng, 2, 2), rand_poly(rng, 2, 2))
     t = TensorPoly2.of(rand_poly(rng, 2, 2), rand_poly(rng, 2, 2))
-    assert collapse(eta, s + t) == collapse(eta, s) + collapse(eta, t)
+    assert (s + t).collapse(eta) == s.collapse(eta) + t.collapse(eta)
 
 
 def test_collapse_anticommutator_reduction(rng):
@@ -162,7 +199,7 @@ def test_collapse_anticommutator_reduction(rng):
     p = z1 * z2 + z2 * z1
     for _ in range(10):
         w = rand_self_adjoint(rng, 2, 2)
-        lhs = collapse(z2, bimodule_mul(w, d(1, p), w))
+        lhs = d(1, p).bimodule_mul(w, w).collapse(z2)
         assert lhs == 2 * ((z2 * w).star() * (z2 * w))
 
 
