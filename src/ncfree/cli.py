@@ -112,6 +112,30 @@ def parse_poly(text: str | None, n: int) -> NcPoly:
         raise ConfigError(f"bad --poly: {exc}") from exc
 
 
+def degree_bound_from(data: dict) -> int:
+    return data.get("degree_bound", DEFAULT_DEGREE_BOUND)
+
+
+def trace_from(data: dict) -> TraceFunctional:
+    return TraceFunctional(distribution_from(data), degree_bound_from(data))
+
+
+def candidate_from(args, data: dict, spec: DistributionSpec) -> ConjugateCandidate:
+    """The conjugate candidate given by --xi for the spec's trace."""
+    xi = parse_xi(args.xi, spec.n)
+    return ConjugateCandidate(xi, spec, degree_bound=degree_bound_from(data))
+
+
+def relations_block(trace: TraceFunctional, degree: int) -> dict:
+    """The relation kernel up to `degree` as a result block."""
+    kernel = relation_kernel(trace, degree)
+    return {
+        "degree": degree,
+        "kernel_dimension": len(kernel),
+        "kernel": [p.to_text() for p in kernel],
+    }
+
+
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
@@ -173,26 +197,23 @@ def _flatten_csv(result: dict, prefix: str = "") -> list[list[str]]:
 
 
 def cmd_verify_conjugate(args, data: dict) -> int:
-    spec = distribution_from(data)
-    xi = parse_xi(args.xi, spec.n)
-    bound = data.get("degree_bound", DEFAULT_DEGREE_BOUND)
-    cand = ConjugateCandidate(xi, spec, degree_bound=bound)
+    cand = candidate_from(args, data, distribution_from(data))
     report = check_conjugate(cand, args.degree)
     emit(args, data, report.to_dict())
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
 def cmd_duality(args, data: dict) -> int:
-    spec = distribution_from(data)
-    trace = TraceFunctional(spec, data.get("degree_bound", DEFAULT_DEGREE_BOUND))
+    trace = trace_from(data)
+    n = trace.spec.n
     rng = random.Random(args.seed)
     failures = []
     for _ in range(args.trials):
-        w1 = rand_word(rng, spec.n, args.degree)
-        w2 = rand_word(rng, spec.n, args.degree, min_len=1)
-        i = rng.randint(1, spec.n)
-        p1 = NcPoly.monomial(spec.n, w1)
-        p2 = NcPoly.monomial(spec.n, w2)
+        w1 = rand_word(rng, n, args.degree)
+        w2 = rand_word(rng, n, args.degree, min_len=1)
+        i = rng.randint(1, n)
+        p1 = NcPoly.monomial(n, w1)
+        p2 = NcPoly.monomial(n, w2)
         if not check_duality(trace, p1, p2, i):
             failures.append({"p1": p1.to_text(), "p2": p2.to_text(), "i": i})
     emit(
@@ -204,9 +225,8 @@ def cmd_duality(args, data: dict) -> int:
 
 
 def cmd_reduce(args, data: dict) -> int:
-    spec = distribution_from(data)
-    trace = TraceFunctional(spec, data.get("degree_bound", DEFAULT_DEGREE_BOUND))
-    poly = parse_poly(args.poly, spec.n)
+    trace = trace_from(data)
+    poly = parse_poly(args.poly, trace.spec.n)
     if args.word is None:
         raise ConfigError("reduce requires --word")
     try:
@@ -222,19 +242,9 @@ def cmd_reduce(args, data: dict) -> int:
 
 
 def cmd_relations(args, data: dict) -> int:
-    spec = distribution_from(data)
-    trace = TraceFunctional(spec, data.get("degree_bound", DEFAULT_DEGREE_BOUND))
-    kernel = relation_kernel(trace, args.degree)
-    emit(
-        args,
-        data,
-        {
-            "degree": args.degree,
-            "kernel_dimension": len(kernel),
-            "kernel": [p.to_text() for p in kernel],
-        },
-    )
-    return EXIT_OK if not kernel else EXIT_FAILED
+    block = relations_block(trace_from(data), args.degree)
+    emit(args, data, block)
+    return EXIT_OK if not block["kernel"] else EXIT_FAILED
 
 
 def cmd_spectrum(args, data: dict) -> int:
@@ -252,9 +262,7 @@ def cmd_spectrum(args, data: dict) -> int:
 def cmd_margins(args, data: dict) -> int:
     spec = distribution_from(data)
     config = ensemble_from(data, args.seed)
-    xi = parse_xi(args.xi, spec.n)
-    bound = data.get("degree_bound", DEFAULT_DEGREE_BOUND)
-    cand = ConjugateCandidate(xi, spec, degree_bound=bound)
+    cand = candidate_from(args, data, spec)
     rng = random.Random(args.seed)
     results = []
     worst = float("inf")
@@ -273,33 +281,24 @@ def cmd_margins(args, data: dict) -> int:
 
 
 def cmd_report(args, data: dict) -> int:
-    spec = distribution_from(data)
-    xi = parse_xi(args.xi, spec.n)
-    bound = data.get("degree_bound", DEFAULT_DEGREE_BOUND)
-    cand = ConjugateCandidate(xi, spec, degree_bound=bound)
+    cand = candidate_from(args, data, distribution_from(data))
     try:
         info = fisher(cand, degree=args.degree)
     except ConjugateCheckFailed as exc:
         info, conjugate_report = None, exc.report
     else:
         conjugate_report = VerificationReport(info.degree_checked, ())
-    kernel_degree = min(args.degree, bound // 2)
-    kernel = relation_kernel(cand.trace, kernel_degree)
-    result = {
-        "conjugate": conjugate_report.to_dict(),
-        "relations": {
-            "degree": kernel_degree,
-            "kernel_dimension": len(kernel),
-            "kernel": [p.to_text() for p in kernel],
-        },
-    }
+    kernel_degree = min(args.degree, cand.trace.degree_bound // 2)
+    relations = relations_block(cand.trace, kernel_degree)
+    result = {"conjugate": conjugate_report.to_dict(), "relations": relations}
     if info is not None:
         result["fisher_information"] = {
             "exact": str(info.exact),
             "value": info.value,
         }
     emit(args, data, result)
-    return EXIT_OK if conjugate_report.passed and not kernel else EXIT_FAILED
+    passed = conjugate_report.passed and not relations["kernel"]
+    return EXIT_OK if passed else EXIT_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         check_counts(args)
         data = load_spec_file(args.spec)
         return args.func(args, data)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NcfreeError as exc:
+    except (ConfigError, NcfreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -31,10 +31,19 @@ NEG_INF = float("-inf")
 _SCALARS = (int, Fraction, Scalar)
 
 
+def is_letter(letter, n: int) -> bool:
+    """Whether `letter` is an integer generator index in 1..n."""
+    try:
+        operator.index(letter)
+    except TypeError:
+        return False
+    return 1 <= letter <= n
+
+
 def check_word(word: Word, n: int) -> None:
     for letter in word:
-        if not 1 <= letter <= n:
-            raise IndexOutOfRange(f"letter {letter} outside 1..{n}")
+        if not is_letter(letter, n):
+            raise IndexOutOfRange(f"letter {letter!r} outside 1..{n}")
 
 
 def word_text(word: Word) -> str:

@@ -13,7 +13,6 @@ is order-independent.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -232,15 +231,19 @@ def kernel_traciality(x: np.ndarray, tol: float = 1e-10) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _window_ends(ev: np.ndarray, width: float) -> np.ndarray:
+    """Per i, the end j[i] of the window: ev[i:j[i]] lies in [ev[i], ev[i] + width].
+
+    ev must be sorted.
+    """
+    return np.searchsorted(ev, ev + width, side="right")
+
+
 def max_window_mass(eigenvalues: np.ndarray, width: float) -> float:
     """Largest fraction of eigenvalues in any window of the given width."""
     ev = np.sort(np.asarray(eigenvalues, dtype=float))
-    total = len(ev)
-    best = 0
-    for i in range(total):
-        j = bisect.bisect_right(ev, ev[i] + width)
-        best = max(best, j - i)
-    return best / total
+    counts = _window_ends(ev, width) - np.arange(len(ev))
+    return int(counts.max(initial=0)) / len(ev)
 
 
 def atom_scan(
@@ -264,15 +267,14 @@ def atom_scan(
     spread = max(float(ev[-1] - ev[0]), width)
     if floor is None:
         floor = 0.5 * width / spread
-    masses = []
-    for i in range(total):
-        j = bisect.bisect_right(ev, ev[i] + width)
-        masses.append((j - i, i, j))
-    masses.sort(key=lambda item: (-item[0], item[1]))
+    ends = _window_ends(ev, width)
+    counts = ends - np.arange(total)
     found: list[tuple[float, float]] = []
     taken: list[tuple[float, float]] = []
-    for count, i, j in masses:
-        mass = count / total
+    # by descending count, ties in increasing i
+    for i in np.argsort(-counts, kind="stable"):
+        j = ends[i]
+        mass = int(counts[i]) / total
         if mass < floor:
             break
         lo, hi = ev[i], ev[i] + width

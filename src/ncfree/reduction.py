@@ -17,7 +17,7 @@ from .derivations import d
 from .errors import NonPositiveMoments
 from .ncpoly import NcPoly, Word
 from .scalars import ONE, ZERO, Scalar
-from .trace import TraceFunctional
+from .trace import TraceFunctional, check_nonnegative
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,7 @@ def gram_matrix(
     size = len(words)
     matrix: list[list[Scalar]] = [[ZERO] * size for _ in range(size)]
     for i, w1 in enumerate(words):
-        diag = trace.moment(w1 + w1[::-1])
-        if diag.im != 0 or diag.re < 0:
-            raise NonPositiveMoments(
-                f"<w,w> = {diag} for word {w1}: moment table is not positive"
-            )
+        diag = check_nonnegative(trace.moment(w1 + w1[::-1]), f"<w,w> for word {w1}")
         row = matrix[i]
         row[i] = diag
         for j in range(i + 1, size):

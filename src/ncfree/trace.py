@@ -11,10 +11,11 @@ A DistributionSpec describes the joint distribution of the n generators:
   monochromatic blocks of products of free cumulants.
 * ExplicitMoments -- a user-supplied word -> value table up to a degree bound.
 
-Both free variants are evaluated by the same block-of-the-first-element
-recursion over non-crossing partitions, exactly, on Scalar values.  A block
-of a letter never grows past that letter's last nonzero cumulant, so
-semicircular words only ever pair letters.
+Both free variants are evaluated by one block-of-the-first-element
+recursion over non-crossing partitions, exactly, on Scalar values; the same
+recursion inverts a moment sequence into free cumulants.  A block of a letter
+never grows past that letter's last nonzero cumulant, so semicircular words
+only ever pair letters.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DegreeBoundExceeded, NonPositiveMoments, UnknownMoment
-from .ncpoly import NcPoly, Word
+from .ncpoly import NcPoly, Word, is_letter
 from .scalars import ONE, ZERO, Scalar
 from .tensor import TensorPoly2, TensorPoly3
 
@@ -41,6 +42,7 @@ DEFAULT_DEGREE_BOUND = 12
 class SemicircularFamily:
     """Free centred semicircular generators with the given variances."""
 
+    KIND = "semicircular"
     variances: tuple[Fraction, ...]
 
     def __post_init__(self):
@@ -55,6 +57,7 @@ class SemicircularFamily:
 class FreeFamily:
     """Free generators, each given by its moment sequence m_1..m_D."""
 
+    KIND = "free"
     moments: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
@@ -67,16 +70,15 @@ class FreeFamily:
 
 @dataclass(frozen=True)
 class ExplicitMoments:
-    """A raw word -> moment table, trusted up to the stated degree."""
+    """A raw word -> moment table up to the stated degree, checked by
+    DistributionSpec (`_check_table`); missing words raise UnknownMoment."""
 
+    KIND = "explicit"
     table: Mapping[Word, Scalar]
     degree: int
 
     def __post_init__(self):
-        frozen = {
-            tuple(w): (v if isinstance(v, Scalar) else Scalar.coerce(v))
-            for w, v in dict(self.table).items()
-        }
+        frozen = {tuple(w): Scalar.coerce(v) for w, v in dict(self.table).items()}
         object.__setattr__(self, "table", frozen)
 
 
@@ -90,19 +92,20 @@ def _word_text(word: Word) -> str:
 def _check_table(n: int, variant: ExplicitMoments) -> None:
     """Reject a table that no tracial state on n self-adjoint letters has.
 
-    Entries must use letters 1..n and lengths up to the degree, and every
-    entry present must agree with the others under traciality,
+    Entries must use integer letters 1..n and lengths up to the degree, and
+    every entry present must agree with the others under traciality,
     tau(rotation of w) = tau(w), and the star, tau(w*) = conj tau(w).
     A word that is a rotation of its own reversal (a palindrome, say) must
-    therefore have a real moment.  Missing words are allowed.
+    therefore have a real moment, and tau of the empty word, if listed, must
+    be 1.  Missing words are allowed.
     """
     table = variant.table
     for word, value in table.items():
         for letter in word:
-            if not 1 <= letter <= n:
+            if not is_letter(letter, n):
                 raise ValueError(
                     f"explicit moment word {_word_text(word)} has letter "
-                    f"{letter} outside 1..{n}"
+                    f"{letter!r} outside 1..{n}"
                 )
         if len(word) > variant.degree:
             raise ValueError(
@@ -128,6 +131,9 @@ def _check_table(n: int, variant: ExplicitMoments) -> None:
                     f"tau{_word_text(word)} = {value} but "
                     f"tau{_word_text(rotation)} = {other}"
                 )
+    unit = table.get((), ONE)
+    if unit != ONE:
+        raise ValueError(f"explicit moment table has tau() = {unit}, not 1")
 
 
 @dataclass(frozen=True)
@@ -148,40 +154,28 @@ class DistributionSpec:
     # -- JSON-compatible serialization -------------------------------------
 
     def to_dict(self) -> dict:
-        if isinstance(self.variant, SemicircularFamily):
-            return {
-                "n": self.n,
-                "variant": "semicircular",
-                "variances": [str(v) for v in self.variant.variances],
+        variant = self.variant
+        if isinstance(variant, SemicircularFamily):
+            fields = {"variances": [str(v) for v in variant.variances]}
+        elif isinstance(variant, FreeFamily):
+            fields = {"moments": [[str(m) for m in seq] for seq in variant.moments]}
+        else:
+            table = sorted(variant.table.items())
+            fields = {
+                "degree": variant.degree,
+                "moments": [{"word": list(w), "value": str(v)} for w, v in table],
             }
-        if isinstance(self.variant, FreeFamily):
-            return {
-                "n": self.n,
-                "variant": "free",
-                "moments": [[str(m) for m in seq] for seq in self.variant.moments],
-            }
-        return {
-            "n": self.n,
-            "variant": "explicit",
-            "degree": self.variant.degree,
-            "moments": [
-                {"word": list(w), "value": str(v)}
-                for w, v in sorted(self.variant.table.items())
-            ],
-        }
+        return {"n": self.n, "variant": variant.KIND, **fields}
 
     @staticmethod
     def from_dict(data: Mapping) -> "DistributionSpec":
         n = int(data["n"])
         kind = data["variant"]
+        # the variant classes convert their numbers to Fraction themselves
         if kind == "semicircular":
-            variant: Variant = SemicircularFamily(
-                tuple(Fraction(v) for v in data["variances"])
-            )
+            variant: Variant = SemicircularFamily(tuple(data["variances"]))
         elif kind == "free":
-            variant = FreeFamily(
-                tuple(tuple(Fraction(m) for m in seq) for seq in data["moments"])
-            )
+            variant = FreeFamily(tuple(tuple(seq) for seq in data["moments"]))
         elif kind == "explicit":
             table: dict[Word, Scalar] = {}
             for entry in data["moments"]:
@@ -190,6 +184,8 @@ class DistributionSpec:
                     raise ValueError(
                         f"explicit moment word {_word_text(word)} is listed twice"
                     )
+                if not isinstance(entry["value"], str):
+                    raise ValueError(f"moment value {entry['value']!r} is not a string")
                 table[word] = Scalar.parse(entry["value"])
             variant = ExplicitMoments(table, int(data["degree"]))
         else:
@@ -202,51 +198,68 @@ class DistributionSpec:
 
 
 # ---------------------------------------------------------------------------
-# free cumulants
+# the non-crossing recursion and free cumulants
 # ---------------------------------------------------------------------------
 
 
-def _nc_moment_single(k: int, kappa: Sequence[Fraction]) -> Fraction:
-    """m_k from cumulants kappa_1..kappa_k via non-crossing partitions.
+def _nc_moment(
+    word: Word, cumulants: Sequence[Sequence[Scalar]], memo: dict[Word, Scalar]
+) -> Scalar:
+    """Sum over non-crossing partitions of `word` with monochromatic blocks.
 
-    Recursion on the block of the first element: if it is {p_0=0 < ... <
-    p_{m-1}}, the gaps between consecutive block elements and the tail after
-    the last one are partitioned independently.
+    A block of k copies of letter i contributes cumulants[i - 1][k - 1], and
+    no block of that letter is longer than its list.  Every subword met is
+    stored in `memo`, which must already hold tau() = 1.
     """
-    memo: dict[int, Fraction] = {0: Fraction(1)}
+    cached = memo.get(word)
+    if cached is not None:
+        return cached
+    letter = word[0]
+    kappa = cumulants[letter - 1]
+    total = ZERO
+    # the block of position 0: positions 0 = p_0 < p_1 < ... < p_{m-1}
+    # with word[p_i] == letter; the gaps and the tail factorize.
+    def extend(start: int, block_size: int, acc: Scalar) -> None:
+        nonlocal total
+        # close the block: the tail word[start:] is a free factor
+        k = kappa[block_size - 1]
+        if k:
+            total = total + acc * k * _nc_moment(word[start:], cumulants, memo)
+        if block_size == len(kappa):
+            return  # every longer block has a zero cumulant
+        for nxt in range(start, len(word)):
+            if word[nxt] == letter:
+                gap = _nc_moment(word[start:nxt], cumulants, memo)
+                if gap:
+                    extend(nxt + 1, block_size + 1, acc * gap)
 
-    def f(length: int) -> Fraction:
-        if length in memo:
-            return memo[length]
-        total = Fraction(0)
-        # choose the block of the first point: sizes of the m-1 gaps plus tail
-        def extend(remaining: int, block_size: int, acc: Fraction) -> None:
-            nonlocal total
-            # close the block here: tail of `remaining` points follows
-            total += acc * kappa[block_size - 1] * f(remaining)
-            # or put the next block element after a gap of g >= 0 points
-            for gap in range(remaining - 1, -1, -1):
-                if block_size + 1 > len(kappa):
-                    break
-                extend_next = remaining - gap - 1
-                extend(extend_next, block_size + 1, acc * f(gap))
-
-        extend(length - 1, 1, Fraction(1))
-        memo[length] = total
-        return total
-
-    return f(k)
+    if kappa:  # otherwise the letter is the zero variable
+        extend(1, 1, ONE)
+    memo[word] = total
+    return total
 
 
 def free_cumulants(moments: Sequence[Fraction]) -> list[Fraction]:
     """Invert the non-crossing moment formula: kappa_1..kappa_D from m_1..m_D."""
-    moments = [Fraction(m) for m in moments]
-    kappa: list[Fraction] = []
+    kappa: list[Scalar] = []
+    memo: dict[Word, Scalar] = {(): ONE}
     for k, m_k in enumerate(moments, start=1):
-        # with kappa_k temporarily 0 the full-block partition contributes 0
-        kappa.append(Fraction(0))
-        kappa[-1] = m_k - _nc_moment_single(k, kappa)
-    return kappa
+        word = (1,) * k
+        m_k = Scalar(Fraction(m_k))
+        # all partitions of 1^k but the one block use only kappa_1..kappa_{k-1}
+        kappa.append(m_k - _nc_moment(word, [kappa], memo))
+        memo[word] = m_k  # the true m_k, for the longer words that contain 1^k
+    return [value.re for value in kappa]
+
+
+def check_nonnegative(value: Scalar, quantity: str) -> Scalar:
+    """Return the value of `quantity` if it is a nonnegative real, else raise."""
+    if value.im != 0 or value.re < 0:
+        raise NonPositiveMoments(
+            f"{quantity} = {value} is not a nonnegative real; the moment data "
+            "is not positive"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -255,93 +268,59 @@ def free_cumulants(moments: Sequence[Fraction]) -> list[Fraction]:
 
 
 class TraceFunctional:
-    """tau induced by a DistributionSpec, memoized over raw words."""
+    """tau induced by a DistributionSpec, memoized over raw words.
+
+    The variant is resolved once, in __init__, so `moment` only compares the
+    word length with the tightest limit and looks the word up.
+    """
 
     def __init__(self, spec: DistributionSpec, degree_bound: int = DEFAULT_DEGREE_BOUND):
         self.spec = spec
         self.degree_bound = degree_bound
-        self._memo: dict[Word, Scalar] = {(): ONE}
         variant = spec.variant
-        if isinstance(variant, SemicircularFamily):
-            kappas = [[0, v] for v in variant.variances]
-        elif isinstance(variant, FreeFamily):
-            kappas = [free_cumulants(seq) for seq in variant.moments]
+        # (limit, name) in the order a word that is too long reports them
+        self._limits = [(degree_bound, "degree bound")]
+        # None for an explicit table: a word missing from the memo is unknown
+        self._cumulants: list[list[Scalar]] | None = None
+        if isinstance(variant, ExplicitMoments):
+            self._limits.append((variant.degree, "explicit table degree"))
+            self._memo: dict[Word, Scalar] = {**variant.table, (): ONE}
         else:
-            kappas = []
-        # per letter, kappa_1..kappa_m cut after the last nonzero cumulant:
-        # no block of that letter can be longer than m
-        self._cumulants: list[list[Scalar]] = []
-        for kappa in kappas:
-            kappa = [Scalar(k) for k in kappa]
-            while kappa and not kappa[-1]:
-                kappa.pop()
-            self._cumulants.append(kappa)
+            if isinstance(variant, SemicircularFamily):
+                kappas = [[0, v] for v in variant.variances]
+            else:
+                kappas = [free_cumulants(seq) for seq in variant.moments]
+                if variant.moments:
+                    depth = min(len(seq) for seq in variant.moments)
+                    self._limits.append((depth, "supplied moment depth"))
+            self._memo = {(): ONE}
+            # per letter, kappa_1..kappa_m cut after the last nonzero cumulant:
+            # no block of that letter can be longer than m
+            self._cumulants = []
+            for kappa in kappas:
+                kappa = [Scalar(k) for k in kappa]
+                while kappa and not kappa[-1]:
+                    kappa.pop()
+                self._cumulants.append(kappa)
+        self._max_length = min(limit for limit, _ in self._limits)
 
     # -- moments ---------------------------------------------------------
-
-    def _check_degree(self, length: int) -> None:
-        if length > self.degree_bound:
-            raise DegreeBoundExceeded(
-                f"word length {length} exceeds degree bound {self.degree_bound}"
-            )
-        if isinstance(self.spec.variant, ExplicitMoments):
-            if length > self.spec.variant.degree:
-                raise DegreeBoundExceeded(
-                    f"word length {length} exceeds explicit table degree "
-                    f"{self.spec.variant.degree}"
-                )
-        if isinstance(self.spec.variant, FreeFamily) and length > 0:
-            available = min(len(seq) for seq in self.spec.variant.moments)
-            if length > available:
-                raise DegreeBoundExceeded(
-                    f"word length {length} exceeds supplied moment depth {available}"
-                )
 
     def moment(self, word: Word) -> Scalar:
         """tau of a single word."""
         word = tuple(word)
-        self._check_degree(len(word))
-        cached = self._memo.get(word)
-        if cached is not None:
-            return cached
-        if isinstance(self.spec.variant, ExplicitMoments):
-            try:
-                value = self.spec.variant.table[word]
-            except KeyError:
-                raise UnknownMoment(f"no table entry for word {word}") from None
-        else:
-            value = self._nc_moment(word)
-        self._memo[word] = value
+        if len(word) > self._max_length:
+            for limit, name in self._limits:
+                if len(word) > limit:
+                    raise DegreeBoundExceeded(
+                        f"word length {len(word)} exceeds {name} {limit}"
+                    )
+        value = self._memo.get(word)
+        if value is None:
+            if self._cumulants is None:
+                raise UnknownMoment(f"no table entry for word {word}")
+            value = _nc_moment(word, self._cumulants, self._memo)
         return value
-
-    def _nc_moment(self, word: Word) -> Scalar:
-        """Sum over non-crossing partitions with monochromatic blocks."""
-        cached = self._memo.get(word)
-        if cached is not None:
-            return cached
-        letter = word[0]
-        kappa = self._cumulants[letter - 1]
-        total = ZERO
-        # the block of position 0: positions 0 = p_0 < p_1 < ... < p_{m-1}
-        # with word[p_i] == letter; the gaps and the tail factorize.
-        def extend(start: int, block_size: int, acc: Scalar) -> None:
-            nonlocal total
-            # close the block: the tail word[start:] is a free factor
-            k = kappa[block_size - 1]
-            if k:
-                total = total + acc * k * self._nc_moment(word[start:])
-            if block_size == len(kappa):
-                return  # every longer block has a zero cumulant
-            for nxt in range(start, len(word)):
-                if word[nxt] == letter:
-                    gap = self._nc_moment(word[start:nxt])
-                    if gap:
-                        extend(nxt + 1, block_size + 1, acc * gap)
-
-        if kappa:  # otherwise the letter is the zero variable
-            extend(1, 1, ONE)
-        self._memo[word] = total
-        return total
 
     # -- linear extensions --------------------------------------------------
 
@@ -358,57 +337,44 @@ class TraceFunctional:
             total = total + coeff * self.moment(w1) * self.moment(w2)
         return total
 
-    def partial_trace(self, s: TensorPoly2, side: str) -> NcPoly:
-        """Contract one leg with tau, leaving a polynomial.
-
-        side='left' is (tau (x) id), side='right' is (id (x) tau).
-        """
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        terms: dict[Word, Scalar] = {}
-        for (w1, w2), coeff in s.terms.items():
-            traced, kept = (w1, w2) if side == "left" else (w2, w1)
+    def _contract(self, s: TensorPoly2 | TensorPoly3, split, result_cls):
+        """Trace the word split(key)[0] of each term; sum at the key split(key)[1]."""
+        terms: dict = {}
+        for key, coeff in s.terms.items():
+            traced, kept = split(key)
             value = coeff * self.moment(traced)
             if value.is_zero():
                 continue
             acc = terms.get(kept)
             terms[kept] = value if acc is None else acc + value
-        return NcPoly._trusted(s.n, terms)
+        return result_cls._trusted(s.n, terms)
+
+    def partial_trace(self, s: TensorPoly2, side: str) -> NcPoly:
+        """Contract one leg with tau, leaving a polynomial.
+
+        side='left' is (tau (x) id), side='right' is (id (x) tau).
+        """
+        if side == "left":
+            return self._contract(s, lambda key: key, NcPoly)
+        if side == "right":
+            return self._contract(s, lambda key: key[::-1], NcPoly)
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     def contract_middle(self, y: TensorPoly3) -> TensorPoly2:
         """(id (x) tau (x) id): trace the middle leg."""
-        terms: dict[tuple[Word, Word], Scalar] = {}
-        for (w1, w2, w3), coeff in y.terms.items():
-            value = coeff * self.moment(w2)
-            if value.is_zero():
-                continue
-            key = (w1, w3)
-            acc = terms.get(key)
-            terms[key] = value if acc is None else acc + value
-        return TensorPoly2._trusted(y.n, terms)
+        return self._contract(y, lambda key: (key[1], (key[0], key[2])), TensorPoly2)
 
     def collapse_middle(self, y: TensorPoly3) -> NcPoly:
         """m_1 (id (x) tau (x) id): trace the middle leg, multiply the outer ones."""
-        terms: dict[Word, Scalar] = {}
-        for (w1, w2, w3), coeff in y.terms.items():
-            value = coeff * self.moment(w2)
-            if value.is_zero():
-                continue
-            word = w1 + w3
-            acc = terms.get(word)
-            terms[word] = value if acc is None else acc + value
-        return NcPoly._trusted(y.n, terms)
+        return self._contract(y, lambda key: (key[1], key[0] + key[2]), NcPoly)
 
     # -- inner products and norms ---------------------------------------------
 
     def inner(self, p: NcPoly, q: NcPoly) -> Scalar:
         """<p, q> = tau(p q*)."""
         value = self.trace_poly(p * q.star())
-        if p == q and (value.im != 0 or value.re < 0):
-            raise NonPositiveMoments(
-                f"<p,p> = {value} is not a nonnegative real; the moment data "
-                "is not positive definite"
-            )
+        if p == q:
+            check_nonnegative(value, "<p,p>")
         return value
 
     def norm2(self, p: NcPoly) -> float:
@@ -422,11 +388,8 @@ class TraceFunctional:
     def inner2(self, s: TensorPoly2, u: TensorPoly2) -> Scalar:
         """<s, u> = (tau (x) tau)(s u*) under the componentwise product."""
         value = self.trace_tensor(s * u.star())
-        if s == u and (value.im != 0 or value.re < 0):
-            raise NonPositiveMoments(
-                f"<s,s> = {value} is not a nonnegative real; the moment data "
-                "is not positive definite"
-            )
+        if s == u:
+            check_nonnegative(value, "<s,s>")
         return value
 
     def opnorm_lower(self, p: NcPoly, k: int) -> float:
@@ -434,9 +397,5 @@ class TraceFunctional:
         if k < 1:
             raise ValueError("power k must be >= 1")
         power = (p.star() * p) ** k
-        value = self.trace_poly(power)
-        if value.im != 0 or value.re < 0:
-            raise NonPositiveMoments(
-                f"tau((p*p)^{k}) = {value} is not a nonnegative real"
-            )
+        value = check_nonnegative(self.trace_poly(power), f"tau((p*p)^{k})")
         return float(value.re) ** (1.0 / (2 * k))

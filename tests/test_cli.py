@@ -374,3 +374,22 @@ def test_duplicate_table_word_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "(1 1) is listed twice" in captured.err
+
+
+@pytest.mark.parametrize(
+    "word, value, message",
+    [
+        (("1",), "0", "outside 1..2"),
+        ((1.5,), "0", "outside 1..2"),
+        # values are exact scalars in text form; a JSON number is refused
+        ((1,), 0, "is not a string"),
+    ],
+    ids=["string-letter", "float-letter", "number-value"],
+)
+def test_malformed_table_entry_is_a_usage_error(tmp_path, capsys, word, value, message):
+    spec = write_explicit_spec(tmp_path, 2, 2, {(): "1", word: value})
+    assert main(["relations", "--spec", spec, "--degree", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err

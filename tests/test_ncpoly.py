@@ -68,6 +68,14 @@ def test_generator_count_mismatch():
         NcPoly.gen(2, 3)
 
 
+def test_letters_must_be_integers():
+    # 1.5 lies in 1..2 but names no generator; its text would not parse back
+    with pytest.raises(IndexOutOfRange, match="1.5"):
+        NcPoly(2, {(1.5,): 1})
+    with pytest.raises(IndexOutOfRange):
+        NcPoly(2, {("1",): 1})
+
+
 # -- star -----------------------------------------------------------------
 
 

@@ -175,6 +175,15 @@ def test_max_window_mass_uniform():
     assert max_window_mass(ev, 0.1) == pytest.approx(101 / 1001)
 
 
+def test_max_window_mass_counts_every_window_with_ties():
+    nprng = np.random.default_rng(2)
+    # rounding makes runs of equal eigenvalues, so windows start inside ties
+    ev = np.round(nprng.normal(size=500), 1)
+    width = 0.25
+    best = max(int(np.sum((ev >= x) & (ev <= x + width))) for x in ev)
+    assert max_window_mass(ev, width) == best / len(ev)
+
+
 def test_atom_scan_finds_a_planted_atom():
     nprng = np.random.default_rng(0)
     bulk = nprng.uniform(-2, 2, size=7000)

@@ -83,6 +83,10 @@ def test_cumulants_invert_the_oracle(rng):
         kappa = [Fraction(rng.randint(-3, 3)) for _ in range(5)]
         moments = [moments_from_cumulants_oracle(k, kappa) for k in range(1, 6)]
         assert free_cumulants(moments) == kappa
+    # rational cumulants, to depth 8
+    kappa = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(8)]
+    moments = [moments_from_cumulants_oracle(k, kappa) for k in range(1, 9)]
+    assert free_cumulants(moments) == kappa
 
 
 # -- free families -------------------------------------------------------------
@@ -143,6 +147,18 @@ def test_explicit_table_rejects_out_of_range_letters():
         explicit(1, 2, {(): 1, (3,): 5})
     with pytest.raises(ValueError, match="outside 1..2"):
         explicit(2, 2, {(): 1, (0, 1): 0})
+    # a letter must be an integer, even one that lies between 1 and n
+    with pytest.raises(ValueError, match="outside 1..2"):
+        explicit(2, 2, {(): 1, (1.5,): 0})
+    with pytest.raises(ValueError, match="outside 1..2"):
+        explicit(2, 2, {(): 1, ("1",): 0})
+
+
+def test_explicit_table_empty_word_must_be_one():
+    # tau is a state: tau(1) = 1, and moment(()) must not disagree with the table
+    with pytest.raises(ValueError, match=r"tau\(\) = 2, not 1"):
+        explicit(1, 2, {(): 2, (1, 1): 1})
+    assert TraceFunctional(explicit(1, 2, {(): 1, (1, 1): 1})).moment(()) == Scalar(1)
 
 
 def test_explicit_table_rejects_words_beyond_its_degree():
