@@ -255,7 +255,8 @@ def cmd_spectrum(args, data: dict) -> int:
         report = spectrum(poly, config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    emit(args, data, report.to_dict(), csv_rows=report.eigenvalue_rows())
+    rows = report.eigenvalue_rows() if args.format == "csv" else None
+    emit(args, data, report.to_dict(), csv_rows=rows)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -310,11 +310,28 @@ class NcPoly(SparseTerms):
         if len(dims) > 1:
             raise EvaluationError(f"mixed matrix dimensions: {sorted(dims)}")
         dim = dims.pop() if dims else 1
-        result = np.zeros((dim, dim), dtype=complex)
+        return self.evaluate_in(
+            mats,
+            np.zeros((dim, dim), dtype=complex),
+            lambda: np.eye(dim, dtype=complex),
+            operator.matmul,
+        )
+
+    def evaluate_in(self, letters: Sequence, zero, unit: Callable, product: Callable):
+        """Sum of coeff * word(letters) over the terms, in `self.terms` order.
+
+        `zero` is the accumulator and is updated in place, `unit()` is the
+        value of the empty word and `product` the ring product.  A word
+        starts from its first letter's value and multiplies left to right.
+        """
+        result = zero
         for word, coeff in self.terms.items():
-            value = np.eye(dim, dtype=complex)
-            for letter in word:
-                value = value @ mats[letter - 1]
+            if not word:
+                value = unit()
+            else:
+                value = letters[word[0] - 1]
+                for letter in word[1:]:
+                    value = product(value, letters[letter - 1])
             result += complex(coeff) * value
         return result
 

@@ -13,12 +13,12 @@ is order-independent.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .conjugate import ConjugateCandidate, dstar, dstar_left, dstar_right
 from .derivations import d
@@ -151,26 +151,35 @@ def quadrature_from_moments(moments: Sequence[float]) -> tuple[np.ndarray, np.nd
     return nodes, weights
 
 
-def _sample_one(tag: EnsembleTag, dim: int, rng: np.random.Generator) -> np.ndarray:
+DIAGONAL_TAGS = (DiagonalRademacher, DiagonalFromMoments)
+
+
+def _draw(tag: EnsembleTag, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A GUE matrix, or the diagonal (1-D) of a diagonal ensemble's matrix."""
     if isinstance(tag, GUE):
         raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         mat = (raw + raw.conj().T) / (2.0 * np.sqrt(dim))
         return np.sqrt(tag.variance) * mat
     if isinstance(tag, DiagonalRademacher):
-        return np.diag(rng.choice([-1.0, 1.0], size=dim).astype(complex))
+        return rng.choice([-1.0, 1.0], size=dim).astype(complex)
     nodes, weights = quadrature_from_moments(tag.moments)
-    return np.diag(rng.choice(nodes, size=dim, p=weights).astype(complex))
+    return rng.choice(nodes, size=dim, p=weights).astype(complex)
 
 
-def sample(config: EnsembleConfig) -> list[list[np.ndarray]]:
-    """One matrix tuple per sample, deterministic in the seed."""
-    tuples = []
+def _draws(config: EnsembleConfig):
+    """Per sample index, the draws of every tag from that index's own stream."""
     for index in range(config.samples):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(index,)))
         )
-        tuples.append([_sample_one(tag, config.dim, rng) for tag in config.ensembles])
-    return tuples
+        yield [_draw(tag, config.dim, rng) for tag in config.ensembles]
+
+
+def sample(config: EnsembleConfig) -> list[list[np.ndarray]]:
+    """One matrix tuple per sample, deterministic in the seed."""
+    return [
+        [np.diag(x) if x.ndim == 1 else x for x in draws] for draws in _draws(config)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +203,7 @@ def empirical_inner(
 
 
 def _spectral_norm(a: np.ndarray) -> float:
-    if min(a.shape) <= 200:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    try:
-        return float(
-            scipy.sparse.linalg.svds(a, k=1, return_singular_vectors=False)[0]
-        )
-    except (scipy.sparse.linalg.ArpackError, scipy.sparse.linalg.ArpackNoConvergence):
-        # ARPACK can stall on highly degenerate spectra (e.g. near-multiples
-        # of the identity); the dense SVD is slower but always lands
-        return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def opnorm_estimate(p: NcPoly, config: EnsembleConfig) -> float:
@@ -269,20 +269,24 @@ def atom_scan(
         floor = 0.5 * width / spread
     ends = _window_ends(ev, width)
     counts = ends - np.arange(total)
+    # the windows at or above the floor, by descending count, ties in increasing i
+    order = np.argsort(-counts, kind="stable")
+    order = order[~(counts[order] / total < floor)]
+    lo = ev[order]
+    hi = lo + width
+    lo_reach, hi_reach = lo - width, hi + width
+    # free[k]: window order[k] is not blocked by any atom accepted so far
+    free = np.ones(len(order), dtype=bool)
     found: list[tuple[float, float]] = []
-    taken: list[tuple[float, float]] = []
-    # by descending count, ties in increasing i
-    for i in np.argsort(-counts, kind="stable"):
-        j = ends[i]
-        mass = int(counts[i]) / total
-        if mass < floor:
+    k = 0
+    while k < len(order):
+        i = order[k]
+        found.append((float(np.mean(ev[i:ends[i]])), int(counts[i]) / total))
+        rest = free[k + 1:]
+        rest &= ~((lo_reach[k + 1:] < hi[k]) & (hi_reach[k + 1:] > lo[k]))
+        if not rest.any():
             break
-        lo, hi = ev[i], ev[i] + width
-        if any(lo - width < t_hi and hi + width > t_lo for t_lo, t_hi in taken):
-            continue
-        location = float(np.mean(ev[i:j]))
-        found.append((location, mass))
-        taken.append((lo, hi))
+        k += 1 + int(np.argmax(rest))
     return found
 
 
@@ -325,9 +329,21 @@ def spectrum(
     """Pooled eigenvalues, histogram and atom estimates of p over the ensemble."""
     if not p.is_self_adjoint():
         raise ValueError("spectrum requires a self-adjoint polynomial")
-    pooled = []
-    for mats in sample(config):
-        pooled.append(np.linalg.eigvalsh(p.evaluate(mats)))
+    if all(isinstance(tag, DIAGONAL_TAGS) for tag in config.ensembles):
+        # diagonal matrices: the words are elementwise products, and the
+        # eigenvalues of the diagonal p(X) are its real entries
+        dim = config.dim
+        pooled = [
+            p.evaluate_in(
+                diagonals,
+                np.zeros(dim, dtype=complex),
+                lambda: np.ones(dim, dtype=complex),
+                operator.mul,
+            ).real
+            for diagonals in _draws(config)
+        ]
+    else:
+        pooled = [np.linalg.eigvalsh(p.evaluate(mats)) for mats in sample(config)]
     eigenvalues = np.sort(np.concatenate(pooled))
     counts, bin_edges = np.histogram(eigenvalues, bins=bins)
     width = window_scale / np.sqrt(len(eigenvalues))

@@ -136,6 +136,20 @@ def _check_table(n: int, variant: ExplicitMoments) -> None:
         raise ValueError(f"explicit moment table has tau() = {unit}, not 1")
 
 
+def _exact_numbers(values) -> tuple:
+    """A JSON list of exact numbers: strings such as "1/10", or integers.
+
+    A JSON float is refused, since its binary expansion, not the decimal
+    that was written, would enter the exact layer.
+    """
+    if not isinstance(values, list):
+        raise ValueError(f"{values!r} is not a list of numbers")
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (str, int)):
+            raise ValueError(f"number {value!r} is not a string or an integer")
+    return tuple(values)
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     n: int
@@ -173,12 +187,14 @@ class DistributionSpec:
         kind = data["variant"]
         # the variant classes convert their numbers to Fraction themselves
         if kind == "semicircular":
-            variant: Variant = SemicircularFamily(tuple(data["variances"]))
+            variant: Variant = SemicircularFamily(_exact_numbers(data["variances"]))
         elif kind == "free":
-            variant = FreeFamily(tuple(tuple(seq) for seq in data["moments"]))
+            variant = FreeFamily(tuple(_exact_numbers(seq) for seq in data["moments"]))
         elif kind == "explicit":
             table: dict[Word, Scalar] = {}
             for entry in data["moments"]:
+                if not isinstance(entry["word"], list):
+                    raise ValueError(f"moment word {entry['word']!r} is not a list")
                 word = tuple(entry["word"])
                 if word in table:
                     raise ValueError(

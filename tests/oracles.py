@@ -8,6 +8,8 @@ instead of the library's block-of-the-first-element recursion.
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 
 def all_pairings(k):
     """Every perfect matching of range(k) as a list of index pairs."""
@@ -160,3 +162,45 @@ def rref_nullspace_oracle(matrix):
             vector[c] = (-entry[0], -entry[1])
         basis.append(vector)
     return basis
+
+
+def greedy_atom_scan_oracle(eigenvalues, window_scale, floor=None):
+    """Atom candidates by one greedy pass over the windows, one at a time.
+
+    The window at sorted position i is [ev[i], ev[i] + width] with width
+    window_scale / sqrt(count).  Windows are taken by descending count (ties
+    in increasing i) until one holds less than `floor` of the sample; a
+    window is accepted unless it comes within one width of a window accepted
+    before it, and reports the mean of its eigenvalues and its mass.
+    """
+    ev = np.sort(np.asarray(eigenvalues, dtype=float))
+    total = len(ev)
+    width = window_scale / np.sqrt(total)
+    spread = max(float(ev[-1] - ev[0]), width)
+    if floor is None:
+        floor = 0.5 * width / spread
+    ends = np.searchsorted(ev, ev + width, side="right")
+    counts = ends - np.arange(total)
+    found, taken = [], []
+    for i in np.argsort(-counts, kind="stable"):
+        mass = int(counts[i]) / total
+        if mass < floor:
+            break
+        lo, hi = ev[i], ev[i] + width
+        if any(lo - width < t_hi and hi + width > t_lo for t_lo, t_hi in taken):
+            continue
+        found.append((float(np.mean(ev[i:ends[i]])), mass))
+        taken.append((lo, hi))
+    return found
+
+
+def identity_start_evaluate_oracle(poly, matrices):
+    """p(X) with every word multiplied out from the identity, terms in order."""
+    dim = matrices[0].shape[0]
+    result = np.zeros((dim, dim), dtype=complex)
+    for word, coeff in poly.terms.items():
+        value = np.eye(dim, dtype=complex)
+        for letter in word:
+            value = value @ matrices[letter - 1]
+        result += complex(coeff) * value
+    return result

@@ -393,3 +393,35 @@ def test_malformed_table_entry_is_a_usage_error(tmp_path, capsys, word, value, m
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        {"variant": "semicircular", "variances": [0.1]},
+        {"variant": "free", "moments": [["0", 1.0]]},
+    ],
+    ids=["semicircular", "free"],
+)
+def test_float_in_trace_section_is_a_usage_error(tmp_path, capsys, trace):
+    # 0.1 would enter the exact layer as 3602879701896397/36028797018963968
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"n": 1, "trace": trace}))
+    assert main(["relations", "--spec", str(path), "--degree", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "is not a string or an integer" in captured.err
+
+
+def test_non_list_table_word_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "word.json"
+    moments = [{"word": [], "value": "1"}, {"word": 5, "value": "0"}]
+    path.write_text(
+        json.dumps({"n": 1, "trace": {"variant": "explicit", "degree": 2, "moments": moments}})
+    )
+    assert main(["relations", "--spec", str(path), "--degree", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "moment word 5 is not a list" in captured.err

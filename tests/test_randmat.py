@@ -23,8 +23,10 @@ from ncfree.randmat import (
     sample,
     spectrum,
 )
+from ncfree.scalars import Scalar
 
 from conftest import gens
+from oracles import greedy_atom_scan_oracle, identity_start_evaluate_oracle
 
 
 def gue_config(n, dim, samples, seed=7):
@@ -200,6 +202,70 @@ def test_atom_scan_on_atomless_sample():
     found = atom_scan(nprng.uniform(-1, 1, size=20000))
     # bulk windows hold only O(width) mass; nothing should clear the floor by much
     assert all(mass < 0.05 for _, mass in found)
+
+
+def test_atom_scan_matches_the_greedy_oracle():
+    nprng = np.random.default_rng(3)
+    samples = []
+    for _ in range(50):
+        size = int(nprng.integers(1, 3000))
+        # rounding makes runs of equal eigenvalues, so counts tie
+        samples.append(np.round(nprng.normal(size=size), int(nprng.integers(0, 3))))
+        samples.append(nprng.uniform(-2, 2, size=size))
+        atoms = nprng.choice([-1.0, 0.25, 1.5], size=int(nprng.integers(1, 4)))
+        planted = [np.full(int(nprng.integers(1, size + 1)), a) for a in atoms]
+        samples.append(np.concatenate([nprng.uniform(-2, 2, size=size), *planted]))
+    for ev in samples:
+        scale = float(nprng.choice([0.5, 4.0, 20.0]))
+        assert atom_scan(ev, window_scale=scale) == greedy_atom_scan_oracle(ev, scale)
+        floor = float(nprng.uniform(0.0, 0.2))
+        assert atom_scan(ev, scale, floor) == greedy_atom_scan_oracle(ev, scale, floor)
+
+
+def test_evaluate_matches_identity_start_products():
+    nprng = np.random.default_rng(4)
+    config = gue_config(3, 12, 4, seed=5)
+    for mats in sample(config):
+        # a constant term, and words that share prefixes with each other
+        stem = tuple(int(x) for x in nprng.integers(1, 4, size=3))
+        words = [(), stem[:1], stem[:2], stem, stem + (1,), stem + (2, 3), stem[:2] + (3,)]
+        words += [tuple(int(x) for x in nprng.integers(1, 4, size=k)) for k in range(6)]
+        nprng.shuffle(words)
+        coeffs = nprng.integers(-4, 5, size=(len(words), 2))
+        terms = {}
+        for word, (re, im) in zip(words, coeffs):
+            terms[word] = terms.get(word, 0) + Scalar(int(re), int(im))
+        p = NcPoly(3, terms)
+        assert np.array_equal(p.evaluate(mats), identity_start_evaluate_oracle(p, mats))
+
+
+def dense_pooled_eigenvalues(p, config):
+    pooled = [np.linalg.eigvalsh(p.evaluate(mats)) for mats in sample(config)]
+    return np.sort(np.concatenate(pooled))
+
+
+def test_diagonal_spectrum_equals_dense_eigvalsh():
+    z1, z2, z3 = gens(3)
+    polys = [
+        z1,
+        z1 * z2 + z2 * z1 - 3 * z3,
+        z1 * z2 * z3 + z3 * z2 * z1 + 2,
+        z2 * z2 * z3 * z2 * z2 - z1 + Scalar(0, 1) * (z1 * z3 - z3 * z1),
+    ]
+    ensembles = [
+        (DiagonalRademacher(), DiagonalFromMoments((0.5, 0.5, 0.5, 0.5)),
+         DiagonalRademacher()),
+        # masses 2/3, 1/3 at -1, 2; and 1/4, 1/2, 1/4 at -1, 1/2, 3
+        (DiagonalFromMoments((0.0, 2.0, 2.0, 6.0)), DiagonalRademacher(),
+         DiagonalFromMoments((0.75, 2.625, 6.5625, 20.53125, 60.515625, 182.5078125))),
+        # a GUE tag sends the whole ensemble down the dense path
+        (DiagonalRademacher(), GUE(), DiagonalFromMoments((0.5, 0.5, 0.5, 0.5))),
+    ]
+    for seed, tags in enumerate(ensembles):
+        config = EnsembleConfig(3, 40, tags, 3, seed)
+        for p in polys:
+            report = spectrum(p, config)
+            assert np.array_equal(report.eigenvalues, dense_pooled_eigenvalues(p, config))
 
 
 def test_spectrum_of_rademacher_square():
