@@ -113,7 +113,10 @@ def parse_poly(text: str | None, n: int) -> NcPoly:
 
 
 def degree_bound_from(data: dict) -> int:
-    return data.get("degree_bound", DEFAULT_DEGREE_BOUND)
+    bound = data.get("degree_bound", DEFAULT_DEGREE_BOUND)
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+        raise ConfigError(f"degree_bound must be a non-negative integer, got {bound!r}")
+    return bound
 
 
 def trace_from(data: dict) -> TraceFunctional:

@@ -6,8 +6,23 @@ distribution specification.  check_conjugate tests the defining relations
     (tau (x) tau)(d_j P) = tau(xi_j P)
 
 by full word enumeration up to a degree, since the relations quantify over
-all P and word enumeration is the faithful finite truncation.  dstar
-evaluates the adjoint of d_j on the tensor square via
+all P and word enumeration is the faithful finite truncation.  On a word w,
+with xi_j = sum_u c_u u, the relation is an identity between moments,
+
+    sum over p with w[p] = j of tau(w[:p]) tau(w[p+1:]) = sum_u c_u tau(u w),
+
+so each side is a sum of moment lookups.
+
+The relations have a reversal symmetry.  The generators are self-adjoint,
+so the adjoint w* of a word is its reversal, and a free family has
+tau(v*) = conj tau(v) and tau(a b) = tau(b a) on every word.  If every xi_j
+is self-adjoint as well, both sides at w* are the conjugates of those at w:
+the left side term by term, the right side as
+tau(xi_j w*) = conj tau(w xi_j) = conj tau(xi_j w).  For such a candidate
+on a free family only one word of each reversal pair is evaluated.  An
+explicit table may lack words, so there every word is looked up as listed.
+
+dstar evaluates the adjoint of d_j on the tensor square via
 
     dstar_j(Y) = m_{xi_j}(Y) - m_1 (id (x) tau (x) id)(d_j (x) id + id (x) d_j)(Y)
 
@@ -23,9 +38,14 @@ from typing import Iterator, Sequence
 from .derivations import d, d_leg_sum
 from .errors import ConjugateCheckFailed, DegreeBoundExceeded
 from .ncpoly import NcPoly, Word
-from .scalars import Scalar
+from .scalars import ZERO, Scalar
 from .tensor import TensorPoly2
-from .trace import DEFAULT_DEGREE_BOUND, DistributionSpec, TraceFunctional
+from .trace import (
+    DEFAULT_DEGREE_BOUND,
+    DistributionSpec,
+    ExplicitMoments,
+    TraceFunctional,
+)
 
 
 def words_up_to(n: int, degree: int) -> Iterator[Word]:
@@ -90,14 +110,28 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
             f"degree {degree} plus candidate degree {max_xi_deg} exceeds the "
             f"trace bound {trace.degree_bound}"
         )
+    moment = trace.moment
+    xi_terms = [tuple(p.terms.items()) for p in cand.xi]
+    mirror = not isinstance(cand.spec.variant, ExplicitMoments) and all(
+        cand.self_adjointness()
+    )
     failures = []
     for word in words_up_to(cand.spec.n, degree):
-        mono = NcPoly.monomial(cand.spec.n, word)
-        for j in range(1, cand.spec.n + 1):
-            lhs = trace.trace_tensor(d(j, mono))
-            rhs = trace.trace_poly(cand.xi[j - 1] * mono)
+        reverse = word[::-1]
+        if mirror and reverse < word:
+            continue  # added with the failures of its reversal
+        for j, terms in enumerate(xi_terms, start=1):
+            lhs = ZERO
+            for pos, letter in enumerate(word):
+                if letter == j:
+                    lhs = lhs + moment(word[:pos]) * moment(word[pos + 1:])
+            rhs = ZERO
+            for u, coeff in terms:
+                rhs = rhs + coeff * moment(u + word)
             if lhs != rhs:
                 failures.append((j, word, lhs, rhs))
+                if mirror and reverse != word:
+                    failures.append((j, reverse, lhs.conjugate(), rhs.conjugate()))
     failures.sort(key=lambda item: (item[0], len(item[1]), item[1]))
     return VerificationReport(degree, tuple(failures))
 

@@ -24,6 +24,7 @@ from .conjugate import ConjugateCandidate, dstar, dstar_left, dstar_right
 from .derivations import d
 from .errors import EvaluationError
 from .ncpoly import NcPoly
+from .trace import json_list
 
 RNG_NAME = "numpy-pcg64"
 
@@ -100,14 +101,17 @@ class EnsembleConfig:
     @staticmethod
     def from_dict(data: Mapping, seed: int | None = None) -> "EnsembleConfig":
         tags = []
-        for entry in data["matrices"]:
+        for entry in json_list(data["matrices"], "matrices"):
+            if not isinstance(entry, dict):
+                raise ValueError(f"matrices entry {entry!r} is not an object")
             kind = entry["kind"]
             if kind == "gue":
                 tags.append(GUE(float(entry.get("variance", 1.0))))
             elif kind == "rademacher":
                 tags.append(DiagonalRademacher())
             elif kind == "diagonal-moments":
-                tags.append(DiagonalFromMoments(tuple(float(m) for m in entry["moments"])))
+                moments = json_list(entry["moments"], "moments")
+                tags.append(DiagonalFromMoments(tuple(float(m) for m in moments)))
             else:
                 raise ValueError(f"unknown ensemble kind: {kind!r}")
         return EnsembleConfig(
@@ -154,25 +158,43 @@ def quadrature_from_moments(moments: Sequence[float]) -> tuple[np.ndarray, np.nd
 DIAGONAL_TAGS = (DiagonalRademacher, DiagonalFromMoments)
 
 
-def _draw(tag: EnsembleTag, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A GUE matrix, or the diagonal (1-D) of a diagonal ensemble's matrix."""
+def _draw(
+    tag: EnsembleTag,
+    quadrature: tuple[np.ndarray, np.ndarray] | None,
+    dim: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """A GUE matrix, or the diagonal (1-D) of a diagonal ensemble's matrix.
+
+    `quadrature` is the tag's (nodes, weights) for DiagonalFromMoments.
+    """
     if isinstance(tag, GUE):
         raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         mat = (raw + raw.conj().T) / (2.0 * np.sqrt(dim))
         return np.sqrt(tag.variance) * mat
     if isinstance(tag, DiagonalRademacher):
         return rng.choice([-1.0, 1.0], size=dim).astype(complex)
-    nodes, weights = quadrature_from_moments(tag.moments)
+    nodes, weights = quadrature
     return rng.choice(nodes, size=dim, p=weights).astype(complex)
 
 
 def _draws(config: EnsembleConfig):
     """Per sample index, the draws of every tag from that index's own stream."""
+    # the quadrature depends on the tag alone: solve it once, not per sample
+    quadratures = [
+        quadrature_from_moments(tag.moments)
+        if isinstance(tag, DiagonalFromMoments)
+        else None
+        for tag in config.ensembles
+    ]
     for index in range(config.samples):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(index,)))
         )
-        yield [_draw(tag, config.dim, rng) for tag in config.ensembles]
+        yield [
+            _draw(tag, quadrature, config.dim, rng)
+            for tag, quadrature in zip(config.ensembles, quadratures)
+        ]
 
 
 def sample(config: EnsembleConfig) -> list[list[np.ndarray]]:

@@ -136,15 +136,20 @@ def _check_table(n: int, variant: ExplicitMoments) -> None:
         raise ValueError(f"explicit moment table has tau() = {unit}, not 1")
 
 
-def _exact_numbers(values) -> tuple:
+def json_list(value, what: str) -> list:
+    """A spec value that must be a JSON list; anything else is a ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} {value!r} is not a list")
+    return value
+
+
+def _exact_numbers(values, what: str) -> tuple:
     """A JSON list of exact numbers: strings such as "1/10", or integers.
 
     A JSON float is refused, since its binary expansion, not the decimal
     that was written, would enter the exact layer.
     """
-    if not isinstance(values, list):
-        raise ValueError(f"{values!r} is not a list of numbers")
-    for value in values:
+    for value in json_list(values, what):
         if isinstance(value, bool) or not isinstance(value, (str, int)):
             raise ValueError(f"number {value!r} is not a string or an integer")
     return tuple(values)
@@ -187,15 +192,20 @@ class DistributionSpec:
         kind = data["variant"]
         # the variant classes convert their numbers to Fraction themselves
         if kind == "semicircular":
-            variant: Variant = SemicircularFamily(_exact_numbers(data["variances"]))
+            variant: Variant = SemicircularFamily(
+                _exact_numbers(data["variances"], "variances")
+            )
         elif kind == "free":
-            variant = FreeFamily(tuple(_exact_numbers(seq) for seq in data["moments"]))
+            sequences = json_list(data["moments"], "moment sequences")
+            variant = FreeFamily(
+                tuple(_exact_numbers(seq, "moment sequence") for seq in sequences)
+            )
         elif kind == "explicit":
             table: dict[Word, Scalar] = {}
-            for entry in data["moments"]:
-                if not isinstance(entry["word"], list):
-                    raise ValueError(f"moment word {entry['word']!r} is not a list")
-                word = tuple(entry["word"])
+            for entry in json_list(data["moments"], "moment table"):
+                if not isinstance(entry, dict):
+                    raise ValueError(f"moment table entry {entry!r} is not an object")
+                word = tuple(json_list(entry["word"], "moment word"))
                 if word in table:
                     raise ValueError(
                         f"explicit moment word {_word_text(word)} is listed twice"
@@ -226,10 +236,20 @@ def _nc_moment(
     A block of k copies of letter i contributes cumulants[i - 1][k - 1], and
     no block of that letter is longer than its list.  Every subword met is
     stored in `memo`, which must already hold tau() = 1.
+
+    A free product of tracial states is tracial, so all rotations of a word
+    have one moment.  A word of length >= 2 missing from `memo` is computed
+    under its lexicographically least rotation, the key all its rotations
+    share, and its value is stored under both.
     """
     cached = memo.get(word)
     if cached is not None:
         return cached
+    if len(word) >= 2:
+        key = min(word[shift:] + word[:shift] for shift in range(len(word)))
+        if key != word:
+            value = memo[word] = _nc_moment(key, cumulants, memo)
+            return value
     letter = word[0]
     kappa = cumulants[letter - 1]
     total = ZERO

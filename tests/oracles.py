@@ -6,6 +6,7 @@ instead of the library's block-of-the-first-element recursion.
 """
 
 from fractions import Fraction
+import itertools
 from itertools import combinations
 
 import numpy as np
@@ -107,6 +108,34 @@ def moments_from_cumulants_oracle(k, kappa):
     """Single-variable m_k from cumulants by full partition enumeration."""
     word = (1,) * k
     return free_moment_oracle(word, [list(kappa) + [Fraction(0)] * k])
+
+
+def conjugate_failures_oracle(xi, n, degree, moment):
+    """Every (j, w, lhs, rhs) where the conjugate relation fails on word w.
+
+    The relation on w is
+        sum over w = a Z_j b of moment(a) moment(b) = sum_u c_u moment(u w),
+    with xi[j - 1] a dict u -> c_u.  Coefficients and both sides are complex
+    rationals as (re, im) pairs; `moment` returns a Fraction.  Every word of
+    length 0..degree over 1..n is split here, with no symmetry used, and the
+    failures are listed by j, then word length, then word.
+    """
+    failures = []
+    for j in range(1, n + 1):
+        for length in range(degree + 1):
+            for word in itertools.product(range(1, n + 1), repeat=length):
+                lhs = (Fraction(0), Fraction(0))
+                for pos in range(length):
+                    if word[pos] == j:
+                        split = moment(word[:pos]) * moment(word[pos + 1:])
+                        lhs = (lhs[0] + split, lhs[1])
+                rhs = (Fraction(0), Fraction(0))
+                for u, coeff in xi[j - 1].items():
+                    term = _c_mul(coeff, (moment(u + word), Fraction(0)))
+                    rhs = (rhs[0] + term[0], rhs[1] + term[1])
+                if lhs != rhs:
+                    failures.append((j, word, lhs, rhs))
+    return failures
 
 
 def _c_sub(a, b):

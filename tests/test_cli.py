@@ -425,3 +425,48 @@ def test_non_list_table_word_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "moment word 5 is not a list" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, spec, message",
+    [
+        ("relations", {"trace": {"variant": "free", "moments": 5}},
+         "moment sequences 5 is not a list"),
+        ("relations", {"trace": {"variant": "explicit", "degree": 1, "moments": [5]}},
+         "moment table entry 5 is not an object"),
+        ("spectrum", {"ensemble": {"dim": 2, "samples": 1, "matrices": 5}},
+         "matrices 5 is not a list"),
+        ("spectrum", {"ensemble": {"dim": 2, "samples": 1, "matrices": [5]}},
+         "matrices entry 5 is not an object"),
+        ("spectrum",
+         {"ensemble": {"dim": 2, "samples": 1,
+                       "matrices": [{"kind": "diagonal-moments", "moments": 0.5}]}},
+         "moments 0.5 is not a list"),
+    ],
+    ids=["free-moments", "table-entry", "matrices", "matrices-entry", "diagonal-moments"],
+)
+def test_malformed_spec_value_is_a_usage_error(tmp_path, capsys, command, spec, message):
+    path = tmp_path / "malformed.json"
+    trace = {"variant": "semicircular", "variances": ["1"]}
+    path.write_text(json.dumps({"n": 1, "trace": trace, **spec}))
+    argv = [command, "--spec", str(path), "--degree", "1"]
+    if command == "spectrum":
+        argv += ["--poly", "1 * Z 1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("bound", ["12", True, -1], ids=["string", "bool", "negative"])
+def test_bad_degree_bound_is_a_usage_error(tmp_path, capsys, bound):
+    path = tmp_path / "bound.json"
+    trace = {"variant": "semicircular", "variances": ["1", "1"]}
+    path.write_text(json.dumps({"n": 2, "trace": trace, "degree_bound": bound}))
+    code = main(["verify-conjugate", "--spec", str(path), "--xi", "1 * Z 1;1 * Z 2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "degree_bound must be a non-negative integer" in captured.err

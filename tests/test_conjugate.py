@@ -1,3 +1,7 @@
+import functools
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from ncfree import (
@@ -19,12 +23,17 @@ from ncfree.conjugate import (
     words_up_to,
 )
 from ncfree.derivations import d
-from ncfree.errors import ConjugateCheckFailed, DegreeBoundExceeded
+from ncfree.errors import ConjugateCheckFailed, DegreeBoundExceeded, UnknownMoment
 from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_poly, rand_word
-from ncfree.trace import FreeFamily, SemicircularFamily
+from ncfree.trace import ExplicitMoments, FreeFamily, SemicircularFamily
 
 from conftest import gens
+from oracles import (
+    conjugate_failures_oracle,
+    free_moment_oracle,
+    semicircular_moment_oracle,
+)
 
 
 def semicircular_candidate(n, degree_bound=12):
@@ -78,6 +87,74 @@ def test_degree_bound_guard():
     cand = semicircular_candidate(1, degree_bound=4)
     with pytest.raises(DegreeBoundExceeded):
         check_conjugate(cand, degree=4)
+
+
+CATALAN = (1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
+
+
+def _oracle_cases():
+    """(name, spec, xi, degree, oracle moment of a word) for the cross-check."""
+    semicircular_2 = DistributionSpec.standard_semicircular(2)
+    variances_3 = (Fraction(1), Fraction(1, 2), Fraction(2))
+    semicircular_3 = DistributionSpec(3, SemicircularFamily(variances_3))
+    # free Poisson of rate 1: every free cumulant is 1, the moments are Catalan
+    free_poisson = DistributionSpec(2, FreeFamily((CATALAN, CATALAN)))
+
+    def semicircular_2_moment(w):
+        return semicircular_moment_oracle(w, (1, 1))
+
+    def semicircular_3_moment(w):
+        return semicircular_moment_oracle(w, variances_3)
+
+    def free_poisson_moment(w):
+        return free_moment_oracle(w, [[1] * 8, [1] * 8])
+
+    z1, z2 = gens(2)
+    y1, y2, y3 = gens(3)
+    return [
+        ("semicircular-2-true", semicircular_2, [z1, z2], 6, semicircular_2_moment),
+        ("semicircular-2-scaled", semicircular_2, [2 * z1, z2], 6, semicircular_2_moment),
+        ("semicircular-2-not-self-adjoint", semicircular_2, [z1 * z2, z2], 5,
+         semicircular_2_moment),
+        ("semicircular-3-true", semicircular_3, [y1, 2 * y2, Fraction(1, 2) * y3], 4,
+         semicircular_3_moment),
+        ("semicircular-3-unscaled", semicircular_3, [y1, y2, y3], 4, semicircular_3_moment),
+        # xi_2 is self-adjoint with complex coefficients, so a mirrored
+        # failure carries the conjugate of a complex rhs
+        ("free-poisson-2", free_poisson, [z1, Scalar(0, 1) * (z1 * z2 - z2 * z1)], 5,
+         free_poisson_moment),
+    ]
+
+
+@pytest.mark.parametrize("case", _oracle_cases(), ids=lambda case: case[0])
+def test_conjugate_failures_match_the_oracle(case):
+    _, spec, xi, degree, moment = case
+    cand = ConjugateCandidate(xi, spec)
+    failures = check_conjugate(cand, degree).failures
+    oracle_xi = [{u: (c.re, c.im) for u, c in p.terms.items()} for p in xi]
+    expected = conjugate_failures_oracle(
+        oracle_xi, spec.n, degree, functools.cache(moment)
+    )
+    assert [
+        (j, word, (lhs.re, lhs.im), (rhs.re, rhs.im))
+        for j, word, lhs, rhs in failures
+    ] == expected
+
+
+def test_explicit_table_reports_the_missing_word():
+    # every semicircular moment up to length 4 but tau(1 2 1 1); only the
+    # rhs tau(Z_1 w) of w = (2 1 1) asks for it, a word whose reversal
+    # (1 1 2) sorts first and whose rotation (1 1 1 2) is in the table
+    words = [w for k in range(5) for w in itertools.product((1, 2), repeat=k)]
+    table = {
+        w: Scalar(semicircular_moment_oracle(w, (1, 1)))
+        for w in words
+        if w != (1, 2, 1, 1)
+    }
+    spec = DistributionSpec(2, ExplicitMoments(table, 4))
+    cand = ConjugateCandidate(gens(2), spec)
+    with pytest.raises(UnknownMoment, match=r"\(1, 2, 1, 1\)"):
+        check_conjugate(cand, degree=3)
 
 
 def test_report_serialization():

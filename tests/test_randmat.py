@@ -268,6 +268,35 @@ def test_diagonal_spectrum_equals_dense_eigvalsh():
             assert np.array_equal(report.eigenvalues, dense_pooled_eigenvalues(p, config))
 
 
+def test_quadrature_is_solved_once_per_tag(monkeypatch):
+    solved = []
+
+    def counting_quadrature(moments):
+        solved.append(tuple(moments))
+        return quadrature_from_moments(moments)
+
+    monkeypatch.setattr("ncfree.randmat.quadrature_from_moments", counting_quadrature)
+    first = DiagonalFromMoments((0.0, 2.0, 2.0, 6.0))
+    last = DiagonalFromMoments((0.5, 0.5, 0.5, 0.5))
+    config = EnsembleConfig(3, 20, (first, DiagonalRademacher(), last), 64, 5)
+    report = spectrum(NcPoly.gen(3, 3), config)
+    assert solved == [first.moments, last.moments]
+    # the same per-index streams, with the quadrature solved for every draw
+    pooled = []
+    for index in range(64):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(5, spawn_key=(index,)))
+        )
+        for tag in config.ensembles:
+            if tag == DiagonalRademacher():
+                draw = rng.choice([-1.0, 1.0], size=20)
+            else:
+                nodes, weights = quadrature_from_moments(tag.moments)
+                draw = rng.choice(nodes, size=20, p=weights)
+        pooled.append(draw)
+    assert report.eigenvalues.tobytes() == np.sort(np.concatenate(pooled)).tobytes()
+
+
 def test_spectrum_of_rademacher_square():
     config = EnsembleConfig(1, 200, (DiagonalRademacher(),), 5, 13)
     z = NcPoly.gen(1, 1)

@@ -106,6 +106,19 @@ def test_free_family_matches_partition_oracle():
             assert trace.moment(word) == Scalar(expected), word
 
 
+def test_free_family_moments_are_rotation_invariant():
+    # free Poisson of rate 1: every free cumulant is 1, the moments are Catalan
+    catalan = (1, 2, 5, 14, 42, 132, 429, 1430)
+    trace = TraceFunctional(DistributionSpec(2, FreeFamily((catalan, catalan))))
+    cumulants = [[1] * 8, [1] * 8]
+    for k in range(9):
+        for word in product((1, 2), repeat=k):
+            value = trace.moment(word)
+            assert value == Scalar(free_moment_oracle(word, cumulants)), word
+            for shift in range(1, k):
+                assert trace.moment(word[shift:] + word[:shift]) == value, word
+
+
 def test_free_family_reproduces_its_own_moment_sequences():
     moments = ((Fraction(1), Fraction(3), Fraction(10)),)
     trace = TraceFunctional(DistributionSpec(1, FreeFamily(moments)))
