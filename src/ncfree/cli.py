@@ -37,7 +37,7 @@ from .ncpoly import NcPoly
 from .randmat import RNG_NAME, EnsembleConfig, empirical_margins, spectrum
 from .reduction import extract_leading_coeff, relation_kernel
 from .sweeps import rand_nonzero_poly, rand_word
-from .trace import DEFAULT_DEGREE_BOUND, DistributionSpec, TraceFunctional
+from .trace import DEFAULT_DEGREE_BOUND, DistributionSpec, TraceFunctional, json_int
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -114,9 +114,10 @@ def parse_poly(text: str | None, n: int) -> NcPoly:
 
 def degree_bound_from(data: dict) -> int:
     bound = data.get("degree_bound", DEFAULT_DEGREE_BOUND)
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
-        raise ConfigError(f"degree_bound must be a non-negative integer, got {bound!r}")
-    return bound
+    try:
+        return json_int(bound, "degree_bound", 0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def trace_from(data: dict) -> TraceFunctional:

@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .conjugate import ConjugateCandidate, dstar, dstar_left, dstar_right
 from .derivations import d
 from .errors import EvaluationError
 from .ncpoly import NcPoly
-from .trace import json_list
+from .trace import json_int, json_list, json_real
 
 RNG_NAME = "numpy-pcg64"
 
@@ -43,6 +43,12 @@ class GUE:
 
     variance: float = 1.0
 
+    def __post_init__(self):
+        if not self.variance >= 0:
+            raise ValueError(
+                f"GUE variance must be non-negative, got {self.variance!r}"
+            )
+
 
 @dataclass(frozen=True)
 class DiagonalRademacher:
@@ -53,9 +59,10 @@ class DiagonalRademacher:
 class DiagonalFromMoments:
     """Diagonal entries drawn from the quadrature measure matching m_1..m_2k.
 
-    The discrete measure is recovered from the moment sequence by the
-    generalized eigenproblem of the two Hankel matrices (Prony's method),
-    so the sequence must come from a genuine positive measure.
+    The discrete measure comes from the moment sequence by Golub-Welsch:
+    the eigenpairs of the Jacobi matrix of its exact three-term recurrence
+    (`quadrature_from_moments`).  The sequence must be that of a positive
+    measure on at most k points; a Dirac mass is one.
     """
 
     moments: tuple[float, ...]
@@ -106,50 +113,75 @@ class EnsembleConfig:
                 raise ValueError(f"matrices entry {entry!r} is not an object")
             kind = entry["kind"]
             if kind == "gue":
-                tags.append(GUE(float(entry.get("variance", 1.0))))
+                tags.append(GUE(json_real(entry.get("variance", 1.0), "variance")))
             elif kind == "rademacher":
                 tags.append(DiagonalRademacher())
             elif kind == "diagonal-moments":
                 moments = json_list(entry["moments"], "moments")
-                tags.append(DiagonalFromMoments(tuple(float(m) for m in moments)))
+                moments = tuple(json_real(m, "moment") for m in moments)
+                tags.append(DiagonalFromMoments(moments))
             else:
                 raise ValueError(f"unknown ensemble kind: {kind!r}")
+        if seed is None:
+            seed = json_int(data.get("seed", 0), "seed", 0)
         return EnsembleConfig(
-            n=int(data["n"]),
-            dim=int(data["dim"]),
+            n=json_int(data["n"], "n", 0),
+            dim=json_int(data["dim"], "dim", 1),
             ensembles=tuple(tags),
-            samples=int(data["samples"]),
-            seed=int(seed if seed is not None else data.get("seed", 0)),
+            samples=json_int(data["samples"], "samples", 1),
+            seed=int(seed),
         )
 
 
-def quadrature_from_moments(moments: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the discrete measure matching the moments.
+def _recurrence(moments: Sequence[float]) -> tuple[list[Fraction], list[Fraction]]:
+    """Exact recurrence coefficients a_j and norms h_j of the moment sequence.
 
-    Uses m_0 = 1 implicitly and k = len(moments) // 2 support points.
+    For L(x^i) = m_i with m_0 = 1, the monic orthogonal polynomials satisfy
+    pi_{j+1} = (x - a_j) pi_j - (h_j / h_{j-1}) pi_{j-1}, h_j = L(pi_j^2).
+    Chebyshev's algorithm (Gautschi 2004) carries the mixed moments
+    L(pi_j x^l) for j < k = len(moments) // 2.  It stops at the first
+    h_j = 0, where the measure has j atoms, and rejects h_j < 0 for j <= k.
     """
     k = len(moments) // 2
-    if k < 1:
+    # row[l] = L(pi_j x^l) for the current j, last[l] = L(pi_{j-1} x^l)
+    last, row = [0] * (len(moments) + 1), [Fraction(1), *map(Fraction, moments)]
+    a: list[Fraction] = []
+    h: list[Fraction] = []
+    for j in range(k + 1):
+        if row[j] < 0:
+            raise ValueError("moment sequence is not positive")
+        if row[j] == 0 or j == k:
+            break
+        a.append(row[j + 1] / row[j] - (last[j] / h[-1] if h else 0))
+        b = row[j] / h[-1] if h else 0
+        h.append(row[j])
+        last, row = row, [
+            row[l + 1] - a[-1] * row[l] - b * last[l] for l in range(len(row) - 1)
+        ]
+    return a, h
+
+
+def quadrature_from_moments(moments: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the discrete measure matching m_1..m_2k (Golub-Welsch).
+
+    With m_0 = 1 and the floats taken as exact fractions, k = len(moments) // 2
+    steps of the exact recurrence (`_recurrence`) give the Jacobi matrix: a_j
+    on the diagonal, sqrt(h_j / h_{j-1}) beside it.  Its eigenvalues are the
+    nodes, and the squared first components of its eigenvectors the weights.
+    """
+    if len(moments) < 2:
         raise ValueError("need at least two moments")
-    m = np.concatenate(([1.0], np.asarray(moments, dtype=float)))
-    hankel = np.array([[m[i + j] for j in range(k)] for i in range(k)])
-    shifted = np.array([[m[i + j + 1] for j in range(k)] for i in range(k)])
-    nodes = scipy.linalg.eig(shifted, hankel, right=False)
-    if np.max(np.abs(nodes.imag)) > 1e-8:
-        raise ValueError("moment sequence does not define a real measure")
-    nodes = np.sort(nodes.real)
-    vandermonde = np.vander(nodes, N=k, increasing=True).T
-    weights = np.linalg.solve(vandermonde, m[:k])
-    if np.any(weights < -1e-10):
-        raise ValueError("moment sequence is not positive")
-    weights = np.clip(weights, 0.0, None)
-    weights /= weights.sum()
-    # a measure on k points can only match 2k moments; verify it actually does
-    for j, target in enumerate(m[1:], start=1):
+    a, h = _recurrence(moments)
+    off = np.sqrt([float(h_j / h_i) for h_i, h_j in zip(h, h[1:])])
+    jacobi = np.diag([float(a_j) for a_j in a]) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = vectors[0] ** 2
+    # the recurrence reads only the first moments; verify the measure has them all
+    for j, target in enumerate(np.asarray(moments, dtype=float), start=1):
         value = float(np.sum(weights * nodes ** j))
         if abs(value - target) > 1e-8 * max(1.0, abs(target)):
             raise ValueError(
-                f"moment sequence is not realized by any {k}-point measure "
+                f"moment sequence is not realized by any {len(nodes)}-point measure "
                 f"(m_{j}: expected {target}, reconstructed {value})"
             )
     return nodes, weights

@@ -21,6 +21,7 @@ only ever pair letters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -143,6 +144,27 @@ def json_list(value, what: str) -> list:
     return value
 
 
+def json_int(value, what: str, minimum: int) -> int:
+    """A spec value that must be a JSON integer of at least `minimum`.
+
+    A bool, a float or any other type is a ValueError, as is a smaller value.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        kind = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def json_real(value, what: str) -> float:
+    """A spec value that must be a finite JSON number; a bool is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} {value!r} is not a number")
+    # not math.isfinite: a JSON integer too large for a float would overflow it
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} {value!r} is not finite")
+    return float(value)
+
+
 def _exact_numbers(values, what: str) -> tuple:
     """A JSON list of exact numbers: strings such as "1/10", or integers.
 
@@ -188,7 +210,7 @@ class DistributionSpec:
 
     @staticmethod
     def from_dict(data: Mapping) -> "DistributionSpec":
-        n = int(data["n"])
+        n = json_int(data["n"], "n", 0)
         kind = data["variant"]
         # the variant classes convert their numbers to Fraction themselves
         if kind == "semicircular":
@@ -213,7 +235,7 @@ class DistributionSpec:
                 if not isinstance(entry["value"], str):
                     raise ValueError(f"moment value {entry['value']!r} is not a string")
                 table[word] = Scalar.parse(entry["value"])
-            variant = ExplicitMoments(table, int(data["degree"]))
+            variant = ExplicitMoments(table, json_int(data["degree"], "degree", 0))
         else:
             raise ValueError(f"unknown distribution variant: {kind!r}")
         return DistributionSpec(n, variant)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncfree
 from ncfree.cli import main
 
 
@@ -442,8 +447,41 @@ def test_non_list_table_word_is_a_usage_error(tmp_path, capsys):
          {"ensemble": {"dim": 2, "samples": 1,
                        "matrices": [{"kind": "diagonal-moments", "moments": 0.5}]}},
          "moments 0.5 is not a list"),
+        ("relations", {"n": [1]}, "n must be a non-negative integer, got [1]"),
+        ("relations", {"n": True}, "n must be a non-negative integer, got True"),
+        ("relations", {"trace": {"variant": "explicit", "degree": 1.5, "moments": []}},
+         "degree must be a non-negative integer, got 1.5"),
+        ("spectrum",
+         {"ensemble": {"dim": 2, "samples": 1,
+                       "matrices": [{"kind": "gue", "variance": [1]}]}},
+         "variance [1] is not a number"),
+        ("spectrum",
+         {"ensemble": {"dim": 2, "samples": 1,
+                       "matrices": [{"kind": "diagonal-moments", "moments": [None, 1]}]}},
+         "moment None is not a number"),
+        ("spectrum",
+         {"ensemble": {"dim": 4.7, "samples": 1, "matrices": [{"kind": "rademacher"}]}},
+         "dim must be an integer >= 1, got 4.7"),
+        ("spectrum",
+         {"ensemble": {"dim": 2, "samples": True, "matrices": [{"kind": "rademacher"}]}},
+         "samples must be an integer >= 1, got True"),
+        ("spectrum",
+         {"ensemble": {"n": "1", "dim": 2, "samples": 1,
+                       "matrices": [{"kind": "rademacher"}]}},
+         "n must be a non-negative integer, got '1'"),
+        ("spectrum",
+         {"ensemble": {"dim": 2, "samples": 1,
+                       "matrices": [{"kind": "gue", "variance": -1}]}},
+         "GUE variance must be non-negative, got -1.0"),
+        ("margins",
+         {"ensemble": {"dim": 2, "samples": 1,
+                       "matrices": [{"kind": "gue", "variance": -1}]}},
+         "GUE variance must be non-negative, got -1.0"),
     ],
-    ids=["free-moments", "table-entry", "matrices", "matrices-entry", "diagonal-moments"],
+    ids=["free-moments", "table-entry", "matrices", "matrices-entry", "diagonal-moments",
+         "n-list", "n-bool", "table-degree", "gue-variance-list", "diagonal-moment-null",
+         "dim-float", "samples-bool", "ensemble-n-string", "spectrum-negative-variance",
+         "margins-negative-variance"],
 )
 def test_malformed_spec_value_is_a_usage_error(tmp_path, capsys, command, spec, message):
     path = tmp_path / "malformed.json"
@@ -452,6 +490,8 @@ def test_malformed_spec_value_is_a_usage_error(tmp_path, capsys, command, spec, 
     argv = [command, "--spec", str(path), "--degree", "1"]
     if command == "spectrum":
         argv += ["--poly", "1 * Z 1"]
+    if command == "margins":
+        argv += ["--xi", "1 * Z 1"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -470,3 +510,40 @@ def test_bad_degree_bound_is_a_usage_error(tmp_path, capsys, bound):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "degree_bound must be a non-negative integer" in captured.err
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    # numpy is the only numerical dependency: neither an exact command nor a
+    # diagonal-moments spectrum may load scipy
+    path = tmp_path / "diagonal.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": 1,
+                "trace": {"variant": "semicircular", "variances": ["1"]},
+                "ensemble": {
+                    "dim": 8,
+                    "samples": 2,
+                    "matrices": [{"kind": "diagonal-moments", "moments": [0, 2, 2, 6]}],
+                },
+            }
+        )
+    )
+    script = (
+        "import sys, ncfree, ncfree.cli\n"
+        "spec = sys.argv[1]\n"
+        "assert ncfree.cli.main(['relations', '--spec', spec, '--degree', '2']) == 0\n"
+        "assert ncfree.cli.main(['spectrum', '--spec', spec, '--poly', '1 * Z 1']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = str(Path(ncfree.__file__).resolve().parents[1])
+    path_entries = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -69,15 +69,37 @@ def test_rademacher_diagonal():
     assert np.count_nonzero(x - np.diag(diag)) == 0
 
 
-def test_quadrature_recovers_bernoulli():
-    nodes, weights = quadrature_from_moments([0.0, 1.0, 0.0, 1.0])
-    assert np.allclose(nodes, [-1.0, 1.0])
-    assert np.allclose(weights, [0.5, 0.5])
+@pytest.mark.parametrize(
+    "moments, nodes, weights",
+    [
+        ((0.0, 1.0, 0.0, 1.0), [-1.0, 1.0], [0.5, 0.5]),
+        ((0.5, 0.5, 0.5, 0.5), [0.0, 1.0], [0.5, 0.5]),
+        ((0.0, 2.0, 2.0, 6.0), [-1.0, 2.0], [2 / 3, 1 / 3]),
+        ((0.75, 2.625, 6.5625, 20.53125, 60.515625, 182.5078125),
+         [-1.0, 0.5, 3.0], [0.25, 0.5, 0.25]),
+        ((1.0, 1.0, 1.0, 1.0), [1.0], [1.0]),
+    ],
+    ids=["bernoulli", "zero-one", "unequal-weights", "three-atoms", "dirac"],
+)
+def test_quadrature_recovers_bernoulli(moments, nodes, weights):
+    got_nodes, got_weights = quadrature_from_moments(moments)
+    np.testing.assert_allclose(got_nodes, nodes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_weights, weights, rtol=0, atol=1e-12)
 
 
-def test_quadrature_rejects_non_measures():
-    with pytest.raises(ValueError):
-        quadrature_from_moments([0.0, -1.0])
+@pytest.mark.parametrize(
+    "moments, message",
+    [
+        ((0.0, -1.0), "not positive"),
+        ((0.0, 1.0), "not realized by any 1-point measure"),
+        ((1.0, 1.0, 1.0, 2.0), "not realized by any 1-point measure"),
+        ((0.0, 1.0, 0.0, 0.5), "not positive"),
+    ],
+    ids=["negative-variance", "not-one-point", "dirac-then-m4", "negative-h2"],
+)
+def test_quadrature_rejects_non_measures(moments, message):
+    with pytest.raises(ValueError, match=message):
+        quadrature_from_moments(moments)
 
 
 def test_diagonal_from_moments_matches_its_moments():
