@@ -133,6 +133,10 @@ class EnsembleConfig:
         )
 
 
+# h_j / m_2j below this is rounding of the given moments, not another atom
+ZERO_NORM = Fraction(1, 10**12)
+
+
 def _recurrence(moments: Sequence[float]) -> tuple[list[Fraction], list[Fraction]]:
     """Exact recurrence coefficients a_j and norms h_j of the moment sequence.
 
@@ -140,18 +144,21 @@ def _recurrence(moments: Sequence[float]) -> tuple[list[Fraction], list[Fraction
     pi_{j+1} = (x - a_j) pi_j - (h_j / h_{j-1}) pi_{j-1}, h_j = L(pi_j^2).
     Chebyshev's algorithm (Gautschi 2004) carries the mixed moments
     L(pi_j x^l) for j < k = len(moments) // 2.  It stops at the first
-    h_j = 0, where the measure has j atoms, and rejects h_j < 0 for j <= k.
+    h_j that is 0 up to the rounding of the given floats (|h_j| <= 1e-12 m_2j),
+    where the measure has j atoms, and rejects any other h_j < 0.  h_k is not
+    tested: it reads m_2k, which only the caller's reproduction check judges.
     """
     k = len(moments) // 2
+    m = [Fraction(1), *map(Fraction, moments)]
     # row[l] = L(pi_j x^l) for the current j, last[l] = L(pi_{j-1} x^l)
-    last, row = [0] * (len(moments) + 1), [Fraction(1), *map(Fraction, moments)]
+    last, row = [0] * len(m), m
     a: list[Fraction] = []
     h: list[Fraction] = []
-    for j in range(k + 1):
+    for j in range(k):
+        if abs(row[j]) <= ZERO_NORM * m[2 * j]:
+            break
         if row[j] < 0:
             raise ValueError("moment sequence is not positive")
-        if row[j] == 0 or j == k:
-            break
         a.append(row[j + 1] / row[j] - (last[j] / h[-1] if h else 0))
         b = row[j] / h[-1] if h else 0
         h.append(row[j])

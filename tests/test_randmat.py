@@ -78,8 +78,16 @@ def test_rademacher_diagonal():
         ((0.75, 2.625, 6.5625, 20.53125, 60.515625, 182.5078125),
          [-1.0, 0.5, 3.0], [0.25, 0.5, 0.25]),
         ((1.0, 1.0, 1.0, 1.0), [1.0], [1.0]),
+        # decimal moments: as floats, h_k (and below k, h_j = 0) holds only
+        # up to rounding, and can come out slightly negative
+        ((0.1, 0.01), [0.1], [1.0]),
+        ((0.2, 0.05, 0.014, 0.0041), [0.1, 0.3], [0.5, 0.5]),
+        ((0.1, 0.01, 0.001, 0.0001), [0.1], [1.0]),
     ],
-    ids=["bernoulli", "zero-one", "unequal-weights", "three-atoms", "dirac"],
+    ids=[
+        "bernoulli", "zero-one", "unequal-weights", "three-atoms", "dirac",
+        "decimal-dirac", "decimal-two-atoms", "decimal-dirac-four-moments",
+    ],
 )
 def test_quadrature_recovers_bernoulli(moments, nodes, weights):
     got_nodes, got_weights = quadrature_from_moments(moments)
@@ -90,12 +98,17 @@ def test_quadrature_recovers_bernoulli(moments, nodes, weights):
 @pytest.mark.parametrize(
     "moments, message",
     [
-        ((0.0, -1.0), "not positive"),
+        # h_k reads m_2k, which only the reproduction check judges
+        ((0.0, -1.0), "not realized by any 1-point measure"),
         ((0.0, 1.0), "not realized by any 1-point measure"),
         ((1.0, 1.0, 1.0, 2.0), "not realized by any 1-point measure"),
-        ((0.0, 1.0, 0.0, 0.5), "not positive"),
+        ((0.0, 1.0, 0.0, 0.5), "not realized by any 2-point measure"),
+        ((0.0, -1.0, 0.0, 1.0), "not positive"),
     ],
-    ids=["negative-variance", "not-one-point", "dirac-then-m4", "negative-h2"],
+    ids=[
+        "negative-variance", "not-one-point", "dirac-then-m4", "negative-h2",
+        "negative-h1-below-k",
+    ],
 )
 def test_quadrature_rejects_non_measures(moments, message):
     with pytest.raises(ValueError, match=message):
