@@ -274,7 +274,10 @@ def cmd_margins(args, data: dict) -> int:
     for _ in range(args.trials):
         p = rand_nonzero_poly(rng, spec.n, args.degree)
         j = rng.randint(1, spec.n)
-        report = empirical_margins(cand, j, p, config)
+        try:
+            report = empirical_margins(cand, j, p, config)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         worst = min(worst, min(report.all_margins()))
         results.append({"poly": p.to_text(), "j": j, **report.to_dict()})
     emit(

@@ -5,7 +5,9 @@ along the letters of a maximal-length word extracts that word's coefficient.
 delta_p twists the left leg by a self-adjoint polynomial before tracing;
 the iterated identity picks up one trace weight per step.  relation_kernel
 computes the exact null space of the Gram matrix of monomials, whose
-nonzero elements witness algebraic relations under a faithful trace.
+nonzero elements witness algebraic relations under a faithful trace; a free
+family whose letters' Hankel matrices are positive definite is certified
+without that matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .derivations import d
 from .errors import NonPositiveMoments
 from .ncpoly import NcPoly, Word
 from .scalars import ONE, ZERO, Scalar
-from .trace import TraceFunctional, check_nonnegative
+from .trace import ExplicitMoments, TraceFunctional, check_nonnegative
 
 
 @dataclass(frozen=True)
@@ -166,12 +168,38 @@ def nullspace(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
     return basis
 
 
-def relation_kernel(trace: TraceFunctional, degree: int) -> list[NcPoly]:
-    """Basis of {P : <P, P> = 0} within span of words of length <= degree.
+def free_family_certified(trace: TraceFunctional, degree: int) -> bool:
+    """True if a free family has no relations up to `degree`, shown per letter.
 
-    An empty result certifies the absence of algebraic relations up to the
-    degree; nonzero elements are explicit relation witnesses.
+    For a free family, L2 of the free product is the orthogonal sum of the
+    alternating products of centred one-letter spaces (Voiculescu, Dykema
+    and Nica 1992).  So the Gram matrix of the words of length <= degree is
+    congruent to a diagonal of products of the letters' orthogonal-polynomial
+    norms h_0..h_degree, and it is positive definite iff every letter's
+    Hankel matrix [m_(a+b)], a, b <= degree, is.  Only the letters' own
+    moments m_0..m_(2 degree) are read.
+
+    False for an explicit table, for a degree whose words reach past a depth
+    limit, and for a singular or indefinite Hankel matrix: those cases are
+    left to the Gram matrix, which finds the witnesses or the error.
     """
+    if isinstance(trace.spec.variant, ExplicitMoments):
+        return False
+    if not 0 <= 2 * degree <= trace.max_word_length:
+        return False
+    for letter in range(1, trace.spec.n + 1):
+        moments = [trace.moment((letter,) * k) for k in range(2 * degree + 1)]
+        hankel = [moments[a : a + degree + 1] for a in range(degree + 1)]
+        try:
+            if nullspace(hankel):
+                return False
+        except NonPositiveMoments:
+            return False
+    return True
+
+
+def gram_kernel(trace: TraceFunctional, degree: int) -> list[NcPoly]:
+    """The null basis of the Gram matrix of all words of length <= degree."""
     words = list(words_up_to(trace.spec.n, degree))
     matrix = gram_matrix(trace, words)
     basis = nullspace(matrix)
@@ -181,3 +209,16 @@ def relation_kernel(trace: TraceFunctional, degree: int) -> list[NcPoly]:
         terms = {words[i]: coeff.conjugate() for i, coeff in enumerate(vector)}
         kernel.append(NcPoly(trace.spec.n, terms))
     return kernel
+
+
+def relation_kernel(trace: TraceFunctional, degree: int) -> list[NcPoly]:
+    """Basis of {P : <P, P> = 0} within span of words of length <= degree.
+
+    An empty result certifies the absence of algebraic relations up to the
+    degree; nonzero elements are explicit relation witnesses.  A free family
+    whose letters all pass `free_family_certified` gets the empty kernel
+    without a Gram matrix; every other case goes through `gram_kernel`.
+    """
+    if free_family_certified(trace, degree):
+        return []
+    return gram_kernel(trace, degree)

@@ -329,7 +329,9 @@ class TraceFunctional:
     """tau induced by a DistributionSpec, memoized over raw words.
 
     The variant is resolved once, in __init__, so `moment` only compares the
-    word length with the tightest limit and looks the word up.
+    word length with the tightest limit and looks the word up.  A free
+    family's memo starts with each letter's own moments, so the free
+    cumulants are inverted only when the first mixed word is missed.
     """
 
     def __init__(self, spec: DistributionSpec, degree_bound: int = DEFAULT_DEGREE_BOUND):
@@ -338,36 +340,45 @@ class TraceFunctional:
         variant = spec.variant
         # (limit, name) in the order a word that is too long reports them
         self._limits = [(degree_bound, "degree bound")]
-        # None for an explicit table: a word missing from the memo is unknown
+        # per letter, built on the first memo miss of a free family
         self._cumulants: list[list[Scalar]] | None = None
         if isinstance(variant, ExplicitMoments):
             self._limits.append((variant.degree, "explicit table degree"))
             self._memo: dict[Word, Scalar] = {**variant.table, (): ONE}
         else:
-            if isinstance(variant, SemicircularFamily):
-                kappas = [[0, v] for v in variant.variances]
-            else:
-                kappas = [free_cumulants(seq) for seq in variant.moments]
-                if variant.moments:
-                    depth = min(len(seq) for seq in variant.moments)
-                    self._limits.append((depth, "supplied moment depth"))
             self._memo = {(): ONE}
-            # per letter, kappa_1..kappa_m cut after the last nonzero cumulant:
-            # no block of that letter can be longer than m
-            self._cumulants = []
-            for kappa in kappas:
-                kappa = [Scalar(k) for k in kappa]
-                while kappa and not kappa[-1]:
-                    kappa.pop()
-                self._cumulants.append(kappa)
-        self._max_length = min(limit for limit, _ in self._limits)
+        if isinstance(variant, FreeFamily):
+            for letter, seq in enumerate(variant.moments, start=1):
+                for k, m_k in enumerate(seq, start=1):
+                    self._memo[(letter,) * k] = Scalar(m_k)
+            if variant.moments:
+                depth = min(len(seq) for seq in variant.moments)
+                self._limits.append((depth, "supplied moment depth"))
+        #: the longest word `moment` evaluates without DegreeBoundExceeded
+        self.max_word_length = min(limit for limit, _ in self._limits)
+
+    def _letter_cumulants(self) -> list[list[Scalar]]:
+        """Per letter, kappa_1..kappa_m cut after the last nonzero cumulant:
+        no block of that letter can be longer than m."""
+        variant = self.spec.variant
+        if isinstance(variant, SemicircularFamily):
+            kappas = [[0, v] for v in variant.variances]
+        else:
+            kappas = [free_cumulants(seq) for seq in variant.moments]
+        cumulants = []
+        for kappa in kappas:
+            kappa = [Scalar(k) for k in kappa]
+            while kappa and not kappa[-1]:
+                kappa.pop()
+            cumulants.append(kappa)
+        return cumulants
 
     # -- moments ---------------------------------------------------------
 
     def moment(self, word: Word) -> Scalar:
         """tau of a single word."""
         word = tuple(word)
-        if len(word) > self._max_length:
+        if len(word) > self.max_word_length:
             for limit, name in self._limits:
                 if len(word) > limit:
                     raise DegreeBoundExceeded(
@@ -376,7 +387,9 @@ class TraceFunctional:
         value = self._memo.get(word)
         if value is None:
             if self._cumulants is None:
-                raise UnknownMoment(f"no table entry for word {word}")
+                if isinstance(self.spec.variant, ExplicitMoments):
+                    raise UnknownMoment(f"no table entry for word {word}")
+                self._cumulants = self._letter_cumulants()
             value = _nc_moment(word, self._cumulants, self._memo)
         return value
 

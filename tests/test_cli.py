@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,32 @@ def test_relations_detects_bernoulli(bernoulli_cli_spec, capsys):
     assert "Z 1 1" in document["result"]["kernel"][0]
 
 
+def test_relations_on_free_poisson_at_degree_8_is_fast(tmp_path, capsys):
+    # 511 words, on which the Gram path takes about 20 s; each letter's 9x9
+    # Hankel matrix certifies the family instead
+    catalan = [1]
+    for k in range(1, 16):
+        catalan.append(catalan[-1] * 2 * (2 * k + 1) // (k + 2))
+    path = tmp_path / "free-poisson.json"
+    sequence = [str(m) for m in catalan]
+    path.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "trace": {"variant": "free", "moments": [sequence, sequence]},
+                "degree_bound": 16,
+            }
+        )
+    )
+    start = time.perf_counter()
+    code = main(["relations", "--spec", str(path), "--degree", "8"])
+    elapsed = time.perf_counter() - start
+    document, _ = read_result(capsys)
+    assert code == 0
+    assert document["result"]["kernel_dimension"] == 0
+    assert elapsed < 1.0
+
+
 # -- spectrum ---------------------------------------------------------------------
 
 
@@ -238,6 +265,40 @@ def test_margins_sweep(semicircular_spec, capsys):
     assert code == 0
     assert document["result"]["worst_margin"] > -0.05
     assert len(document["result"]["reports"]) == 3
+
+
+@pytest.mark.parametrize(
+    "command, tag, seed, message",
+    [
+        (command, tag, seed, message)
+        for command in ("spectrum", "margins")
+        for tag, seed, message in [
+            ({"kind": "diagonal-moments", "moments": [0, -1]}, "0",
+             "moment sequence is not realized by any 1-point measure"),
+            ({"kind": "gue"}, "-1", "expected non-negative integer"),
+        ]
+    ],
+    ids=["spectrum-non-measure", "spectrum-negative-seed",
+         "margins-non-measure", "margins-negative-seed"],
+)
+def test_sampling_error_is_a_usage_error(tmp_path, capsys, command, tag, seed, message):
+    path = tmp_path / "ensemble.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": 1,
+                "trace": {"variant": "semicircular", "variances": ["1"]},
+                "ensemble": {"dim": 4, "samples": 1, "matrices": [tag]},
+            }
+        )
+    )
+    argv = [command, "--spec", str(path), "--seed", seed, "--degree", "1"]
+    argv += ["--poly", "1 * Z 1"] if command == "spectrum" else ["--xi", "1 * Z 1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
 
 
 # -- report -----------------------------------------------------------------------

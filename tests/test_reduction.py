@@ -2,20 +2,23 @@ from fractions import Fraction
 
 import pytest
 
+import ncfree.trace
 from ncfree import DistributionSpec, NcPoly, TraceFunctional
-from ncfree.errors import NonPositiveMoments
+from ncfree.errors import DegreeBoundExceeded, NonPositiveMoments
 from ncfree.reduction import (
     ProjectionSurrogate,
     delta,
     delta_p,
     extract_leading_coeff,
+    free_family_certified,
+    gram_kernel,
     gram_matrix,
     nullspace,
     relation_kernel,
 )
 from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_nonzero_poly, rand_self_adjoint, rand_word
-from ncfree.trace import ExplicitMoments
+from ncfree.trace import ExplicitMoments, FreeFamily, SemicircularFamily
 
 from conftest import bernoulli_spec, gens
 from oracles import rref_nullspace_oracle
@@ -245,3 +248,119 @@ def test_projection_relation_is_detected():
     assert kernel
     for p in kernel:
         assert trace.trace_poly(p * p.star()) == Scalar(0)
+
+
+# -- the free-family certificate against the Gram path -------------------------------
+
+CATALAN = (1, 2, 5, 14, 42, 132, 429, 1430)  # free Poisson of rate 1
+SHIFTED_SEMICIRCULAR = (1, 2, 4, 9, 21, 51, 127, 323)  # 1 + S
+SEMICIRCULAR_MOMENTS = (0, 1, 0, 2, 0, 5, 0, 14)
+BERNOULLI = (0, 1) * 4
+PROJECTION = (Fraction(1, 3),) * 8
+DIRAC = (3, 9, 27, 81, 243, 729, 2187, 6561)
+ZERO_LETTER = (0,) * 8
+
+
+def free(*sequences) -> DistributionSpec:
+    return DistributionSpec(len(sequences), FreeFamily(sequences))
+
+
+# name -> (spec, the least degree with a relation: the smallest atom count
+# among the letters, or None when no letter has finitely many atoms)
+CROSS_CHECK_SPECS = {
+    "semicircular-unequal": (
+        DistributionSpec(2, SemicircularFamily((Fraction(1), Fraction(1, 3)))), None
+    ),
+    "semicircular-3-unequal": (
+        DistributionSpec(3, SemicircularFamily((Fraction(2), Fraction(1), Fraction(1, 2)))),
+        None,
+    ),
+    "free-poisson": (free(CATALAN, CATALAN), None),
+    "shifted-semicircular": (free(SHIFTED_SEMICIRCULAR), None),
+    "three-letter-mix": (free(SEMICIRCULAR_MOMENTS, CATALAN, SHIFTED_SEMICIRCULAR), None),
+    "bernoulli": (free(BERNOULLI), 2),
+    "bernoulli-and-free-poisson": (free(BERNOULLI, CATALAN), 2),
+    "projection": (free(PROJECTION, CATALAN), 2),
+    "dirac": (free(DIRAC, SHIFTED_SEMICIRCULAR), 1),
+    "zero-letter": (free(ZERO_LETTER, CATALAN), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(CROSS_CHECK_SPECS))
+def test_certificate_matches_the_gram_kernel(name):
+    spec, first_relation = CROSS_CHECK_SPECS[name]
+    max_degree = 3 if spec.n == 3 else 4
+    for degree in range(max_degree + 1):
+        free_of_relations = first_relation is None or degree < first_relation
+        assert free_family_certified(TraceFunctional(spec), degree) == free_of_relations
+        kernel = relation_kernel(TraceFunctional(spec), degree)
+        assert kernel == gram_kernel(TraceFunctional(spec), degree), degree
+        assert (kernel == []) == free_of_relations, degree
+
+
+def test_bernoulli_witness_is_found_through_a_free_family():
+    z = NcPoly.gen(1, 1)
+    assert relation_kernel(TraceFunctional(free(BERNOULLI)), 2) == [z * z - 1]
+    # the same witness as the explicit table gives
+    assert relation_kernel(TraceFunctional(bernoulli_spec()), 2) == [z * z - 1]
+
+
+@pytest.mark.parametrize(
+    "spec, degree, message",
+    [
+        (free((0, -1, 0, 1)), 1,
+         "<w,w> for word (1,) = -1 is not a nonnegative real; "
+         "the moment data is not positive"),
+        # words of length 2 * 3 reach past the depth, but the Gram path meets
+        # the negative diagonal entry first
+        (free((0, -1, 0, 1)), 3,
+         "<w,w> for word (1,) = -1 is not a nonnegative real; "
+         "the moment data is not positive"),
+        # h_2 = m_4 - m_2^2 = -1/2 < 0, though every diagonal entry is positive
+        (free((0, 1, 0, Fraction(1, 2)), CATALAN), 2,
+         "pivot -1/2 at column 3 is not a positive real: "
+         "the matrix is not positive semidefinite"),
+    ],
+    ids=["negative-variance", "negative-variance-past-depth", "indefinite-hankel"],
+)
+def test_non_positive_free_family_raises_the_gram_message(spec, degree, message):
+    for kernel in (relation_kernel, gram_kernel):
+        with pytest.raises(NonPositiveMoments) as info:
+            kernel(TraceFunctional(spec), degree)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec, degree_bound, message",
+    [
+        (free(CATALAN[:4], CATALAN[:4]), 12, "word length 5 exceeds supplied moment depth 4"),
+        (DistributionSpec.standard_semicircular(2), 5, "word length 6 exceeds degree bound 5"),
+    ],
+    ids=["moment-depth", "degree-bound"],
+)
+def test_depth_overflow_raises_the_gram_message(spec, degree_bound, message):
+    for kernel in (relation_kernel, gram_kernel):
+        with pytest.raises(DegreeBoundExceeded) as info:
+            kernel(TraceFunctional(spec, degree_bound), 3)
+        assert str(info.value) == message
+
+
+def test_free_family_relations_never_invert_cumulants(monkeypatch):
+    calls = []
+    original = ncfree.trace.free_cumulants
+
+    def counting(moments):
+        calls.append(moments)
+        return original(moments)
+
+    monkeypatch.setattr(ncfree.trace, "free_cumulants", counting)
+    trace = TraceFunctional(free(CATALAN, SHIFTED_SEMICIRCULAR))
+    assert relation_kernel(trace, 4) == []
+    assert calls == []
+    for letter, sequence in enumerate((CATALAN, SHIFTED_SEMICIRCULAR), start=1):
+        for k, m_k in enumerate(sequence, start=1):
+            assert trace.moment((letter,) * k) == Scalar(m_k)
+    assert calls == []
+    # tau(Z1 Z2) = tau(Z1) tau(Z2) needs the cumulants, once per letter
+    assert trace.moment((1, 2)) == Scalar(1)
+    assert len(calls) == 2
