@@ -1,24 +1,31 @@
 """Batch driver for the verification suites, reductions and simulations.
 
-One process, one command.  Every run emits a metadata block (version, seed,
+One call, one command.  Every run emits a metadata block (version, seed,
 spec digest, RNG name) so results are traceable; CSV payloads are free of
 timestamps and therefore byte-identical across reruns with the same seed.
 
+`main(argv)` returns the exit status and may be called many times in one
+process: the argument parser is built on the first call and reused, and no
+call sees another's flags.  argparse still raises SystemExit(2) on a bad
+flag and SystemExit(0) on --help.
+
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or configuration error, 3 internal error.  A negative --degree or
---trials, an --out file that cannot be written, an inconsistent explicit
-moment table and a Gram matrix that is not positive semidefinite are usage
-errors (2), never a verification failure.  Any other exception is reported
-as an internal error (3): an `internal error:` line and the traceback go to
-stderr.
+--trials, a --slack that is NaN or infinite, an --out file that cannot be
+written, an inconsistent explicit moment table and a Gram matrix that is
+not positive semidefinite are usage errors (2), never a verification
+failure.  Any other exception is reported as an internal error (3): an
+`internal error:` line and the traceback go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
+import math
 import random
 import sys
 import traceback
@@ -280,10 +287,11 @@ def cmd_margins(args, data: dict) -> int:
             raise ConfigError(str(exc)) from exc
         worst = min(worst, min(report.all_margins()))
         results.append({"poly": p.to_text(), "j": j, **report.to_dict()})
+    # with no trials there is no margin; JSON has no infinity to stand for it
     emit(
         args,
         data,
-        {"trials": args.trials, "worst_margin": worst, "reports": results},
+        {"trials": args.trials, "worst_margin": worst if results else None, "reports": results},
     )
     return EXIT_OK if worst >= -args.slack else EXIT_FAILED
 
@@ -314,7 +322,12 @@ def cmd_report(args, data: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `ncfree` parser, built on the first call and shared after it.
+
+    It holds no handlers: `main` finds `cmd_<command>` by name at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="ncfree",
         description="verification suites for non-commutative derivatives "
@@ -332,57 +345,53 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-conjugate", help="check the conjugate relations")
     common(p)
     p.add_argument("--xi", help="candidate polynomials, ';'-separated")
-    p.set_defaults(func=cmd_verify_conjugate)
 
     p = sub.add_parser("duality", help="random sweep of the duality identity")
     common(p)
     p.add_argument("--trials", type=int, default=200)
-    p.set_defaults(func=cmd_duality)
 
     p = sub.add_parser("reduce", help="extract a leading coefficient")
     common(p)
     p.add_argument("--poly", help="polynomial in text form")
     p.add_argument("--word", help="comma-separated letters of a top-degree word")
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("relations", help="Gram-kernel relation detection")
     common(p)
-    p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("spectrum", help="matrix-model spectrum and atom scan")
     common(p)
     p.add_argument("--poly", help="self-adjoint polynomial in text form")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("margins", help="empirical norm-inequality margins")
     common(p)
     p.add_argument("--xi", help="candidate polynomials, ';'-separated")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--slack", type=float, default=0.05)
-    p.set_defaults(func=cmd_margins)
 
     p = sub.add_parser("report", help="combined conjugate/relations/Fisher report")
     common(p)
     p.add_argument("--xi", help="candidate polynomials, ';'-separated")
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
-def check_counts(args) -> None:
+def check_flags(args) -> None:
     for flag in ("degree", "trials"):
         value = getattr(args, flag, 0)
         if value < 0:
             raise ConfigError(f"--{flag} must be non-negative, got {value}")
+    slack = getattr(args, "slack", 0.0)
+    if not math.isfinite(slack):
+        raise ConfigError(f"--slack must be a finite number, got {slack}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        check_counts(args)
+        check_flags(args)
         data = load_spec_file(args.spec)
-        return args.func(args, data)
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        return handler(args, data)
     except (ConfigError, NcfreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -44,6 +45,20 @@ def bernoulli_cli_spec(tmp_path):
         )
     )
     return str(path)
+
+
+def run_python(script, *argv):
+    """Run `script` in a new interpreter that imports this checkout's ncfree."""
+    src = str(Path(ncfree.__file__).resolve().parents[1])
+    path_entries = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
 
 
 def read_result(capsys):
@@ -265,6 +280,27 @@ def test_margins_sweep(semicircular_spec, capsys):
     assert code == 0
     assert document["result"]["worst_margin"] > -0.05
     assert len(document["result"]["reports"]) == 3
+
+
+@pytest.mark.parametrize("slack", ["nan", "inf", "-inf"])
+def test_non_finite_slack_is_a_usage_error(semicircular_spec, capsys, slack):
+    # NaN would fail every margin and +inf pass every one
+    argv = ["margins", "--spec", semicircular_spec, "--xi", "1 * Z 1;1 * Z 2"]
+    assert main(argv + ["--trials", "1", "--degree", "1", f"--slack={slack}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "--slack must be a finite number" in captured.err
+
+
+def test_margins_without_trials_is_strict_json(semicircular_spec, capsys):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    argv = ["margins", "--spec", semicircular_spec, "--xi", "1 * Z 1;1 * Z 2"]
+    assert main(argv + ["--trials", "0"]) == 0
+    document = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert document["result"] == {"trials": 0, "worst_margin": None, "reports": []}
 
 
 @pytest.mark.parametrize(
@@ -597,14 +633,135 @@ def test_cli_never_imports_scipy(tmp_path):
         "assert ncfree.cli.main(['spectrum', '--spec', spec, '--poly', '1 * Z 1']) == 0\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
-    src = str(Path(ncfree.__file__).resolve().parents[1])
-    path_entries = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    done = run_python(script, str(path))
     assert done.returncode == 0, done.stderr
+
+
+# -- in-process use -------------------------------------------------------------------
+
+
+@pytest.fixture
+def counted_parsers(monkeypatch):
+    """A list that grows by one on every argparse.ArgumentParser built."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_parser_is_built_once(semicircular_spec, capsys, counted_parsers):
+    calls = [
+        ["relations", "--spec", semicircular_spec, "--degree", "1"],
+        ["verify-conjugate", "--spec", semicircular_spec, "--xi", "1 * Z 1;1 * Z 2"],
+        ["duality", "--spec", semicircular_spec, "--trials", "2", "--degree", "2"],
+        ["reduce", "--spec", semicircular_spec, "--poly", "1 * Z 1 2", "--word", "1,2"],
+        ["relations", "--spec", semicircular_spec, "--degree", "-1"],
+    ]
+    assert main(calls[0]) == 0
+    after_first = len(counted_parsers)
+    assert [main(argv) for argv in calls[1:]] == [0, 0, 0, 2]
+    assert len(counted_parsers) == after_first
+
+
+def test_importing_the_cli_builds_no_parser(semicircular_spec):
+    script = (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import ncfree.cli\n"
+        "assert built == [], f'import built {built}'\n"
+        "argv = ['relations', '--spec', sys.argv[1], '--degree', '1']\n"
+        "assert ncfree.cli.main(argv) == 0\n"
+        "assert built[0] == 'ncfree' and len(built) == 8, built\n"
+        "assert ncfree.cli.main(argv) == 0\n"
+        "assert len(built) == 8, built\n"
+    )
+    done = run_python(script, semicircular_spec)
+    assert done.returncode == 0, done.stderr
+
+
+def comparable(out: str):
+    """A structured document without its timestamp, or the raw output."""
+    try:
+        document = json.loads(out)
+    except json.JSONDecodeError:
+        return out
+    document["metadata"].pop("timestamp")
+    return document
+
+
+def test_in_process_calls_do_not_leak_state(tmp_path, capsys):
+    # each call in one process must behave as the first call of a new one
+    path = tmp_path / "small.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "trace": {"variant": "semicircular", "variances": ["1", "1"]},
+                "ensemble": {
+                    "dim": 8,
+                    "samples": 1,
+                    "matrices": [{"kind": "gue"}, {"kind": "gue"}],
+                },
+                "degree_bound": 10,
+            }
+        )
+    )
+    spec = str(path)
+    # seed 2 gives a worst margin of about 0.47: it passes the default slack
+    # and fails the stricter bound --slack=-0.5
+    margins = ["margins", "--spec", spec, "--xi", "1 * Z 1;1 * Z 2"]
+    margins += ["--trials", "2", "--degree", "2", "--seed", "2"]
+    relations = ["relations", "--spec", spec, "--degree", "2"]
+    verify = ["verify-conjugate", "--spec", spec, "--degree", "3", "--xi"]
+    failing, passing = verify + ["2 * Z 1;1 * Z 2"], verify + ["1 * Z 1;1 * Z 2"]
+    spectrum = ["spectrum", "--spec", spec, "--poly", "1 * Z 1 2 + 1 * Z 2 1"]
+    spectrum += ["--format", "csv", "--out"]
+    sequence = [
+        (margins + ["--slack", "0.5"], 0),
+        (margins, 0),
+        (margins + ["--slack=-0.5"], 1),
+        (margins, 0),
+        (spectrum + ["{out}"], 0),
+        (relations, 0),
+        (failing, 1),
+        (passing, 0),
+        (relations + ["--no-such-flag"], 2),
+        (relations, 0),
+        (relations + ["--help"], 0),
+        (passing, 0),
+    ]
+    run_fresh = "import sys, ncfree.cli\nsys.exit(ncfree.cli.main(sys.argv[1:]))\n"
+    fresh = {}
+    for argv, _ in sequence:
+        key = tuple(argv)
+        if key not in fresh:
+            out = tmp_path / f"fresh-{len(fresh)}.csv"
+            done = run_python(run_fresh, *[a.format(out=out) for a in argv])
+            payload = out.read_bytes() if out.exists() else None
+            fresh[key] = (done.returncode, comparable(done.stdout), payload)
+
+    for step, (argv, expected_code) in enumerate(sequence):
+        out = tmp_path / f"here-{step}.csv"
+        try:
+            code = main([a.format(out=out) for a in argv])
+            stdout = comparable(capsys.readouterr().out)
+        except SystemExit as exc:
+            # argparse's usage and help text are not a result block
+            code, stdout = exc.code, None
+            capsys.readouterr()
+        payload = out.read_bytes() if out.exists() else None
+        fresh_code, fresh_stdout, fresh_payload = fresh[tuple(argv)]
+        assert code == fresh_code == expected_code, argv
+        if stdout is not None:
+            assert stdout == fresh_stdout, argv
+        assert payload == fresh_payload, argv
