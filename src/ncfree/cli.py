@@ -41,7 +41,7 @@ from .conjugate import (
 )
 from .errors import ConjugateCheckFailed, NcfreeError
 from .ncpoly import NcPoly
-from .randmat import RNG_NAME, EnsembleConfig, empirical_margins, spectrum
+from .randmat import RNG_NAME, EnsembleConfig, empirical_margins, sample, spectrum
 from .reduction import extract_leading_coeff, relation_kernel
 from .sweeps import rand_nonzero_poly, rand_word
 from .trace import DEFAULT_DEGREE_BOUND, DistributionSpec, TraceFunctional, json_int
@@ -278,11 +278,15 @@ def cmd_margins(args, data: dict) -> int:
     rng = random.Random(args.seed)
     results = []
     worst = float("inf")
+    samples = None
     for _ in range(args.trials):
         p = rand_nonzero_poly(rng, spec.n, args.degree)
         j = rng.randint(1, spec.n)
         try:
-            report = empirical_margins(cand, j, p, config)
+            # every trial measures its norms on one seeded ensemble: draw it once
+            if samples is None:
+                samples = sample(config)
+            report = empirical_margins(cand, j, p, config, samples=samples)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         worst = min(worst, min(report.all_margins()))

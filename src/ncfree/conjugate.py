@@ -11,7 +11,12 @@ with xi_j = sum_u c_u u, the relation is an identity between moments,
 
     sum over p with w[p] = j of tau(w[:p]) tau(w[p+1:]) = sum_u c_u tau(u w),
 
-so each side is a sum of moment lookups.
+so each side is a sum of moment lookups.  Most of those moments are zero
+on a symmetric family (every odd word of a semicircular one), so a term is
+multiplied and added only when its factors are nonzero, and the second
+factor of a split is looked up only when the first is nonzero.  The
+moments are read straight from the trace's memo; a miss goes through
+TraceFunctional.moment, which computes the word or raises.
 
 The relations have a reversal symmetry.  The generators are self-adjoint,
 so the adjoint w* of a word is its reversal, and a free family has
@@ -111,6 +116,7 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
             f"trace bound {trace.degree_bound}"
         )
     moment = trace.moment
+    cached = trace._memo.get
     xi_terms = [tuple(p.terms.items()) for p in cand.xi]
     mirror = not isinstance(cand.spec.variant, ExplicitMoments) and all(
         cand.self_adjointness()
@@ -124,10 +130,25 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
             lhs = ZERO
             for pos, letter in enumerate(word):
                 if letter == j:
-                    lhs = lhs + moment(word[:pos]) * moment(word[pos + 1:])
+                    head = word[:pos]
+                    left = cached(head)
+                    if left is None:
+                        left = moment(head)
+                    if left:
+                        tail = word[pos + 1:]
+                        right = cached(tail)
+                        if right is None:
+                            right = moment(tail)
+                        if right:
+                            lhs = lhs + left * right
             rhs = ZERO
             for u, coeff in terms:
-                rhs = rhs + coeff * moment(u + word)
+                uw = u + word
+                value = cached(uw)
+                if value is None:
+                    value = moment(uw)
+                if value:
+                    rhs = rhs + coeff * value
             if lhs != rhs:
                 failures.append((j, word, lhs, rhs))
                 if mirror and reverse != word:

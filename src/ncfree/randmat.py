@@ -208,9 +208,18 @@ def _draw(
     `quadrature` is the tag's (nodes, weights) for DiagonalFromMoments.
     """
     if isinstance(tag, GUE):
-        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        mat = (raw + raw.conj().T) / (2.0 * np.sqrt(dim))
-        return np.sqrt(tag.variance) * mat
+        # (raw + raw^*) / (2 sqrt(dim)) for raw = a + ib, filled part by part;
+        # numpy divides a complex array by a real by multiplying with the
+        # reciprocal, so this is the complex formula bit for bit
+        a = rng.standard_normal((dim, dim))
+        b = rng.standard_normal((dim, dim))
+        inv = 1.0 / (2.0 * np.sqrt(dim))
+        mat = np.empty((dim, dim), dtype=complex)
+        mat.real = (a + a.T) * inv
+        mat.imag = (b - b.T) * inv
+        if tag.variance != 1.0:
+            mat *= np.sqrt(tag.variance)
+        return mat
     if isinstance(tag, DiagonalRademacher):
         return rng.choice([-1.0, 1.0], size=dim).astype(complex)
     nodes, weights = quadrature
@@ -267,9 +276,13 @@ def _spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def _opnorm(p: NcPoly, samples: Sequence[Sequence[np.ndarray]]) -> float:
+    return max(_spectral_norm(p.evaluate(mats)) for mats in samples)
+
+
 def opnorm_estimate(p: NcPoly, config: EnsembleConfig) -> float:
     """Largest singular value of p(X) over the sampled tuples."""
-    return max(_spectral_norm(p.evaluate(mats)) for mats in sample(config))
+    return _opnorm(p, sample(config))
 
 
 def kernel_traciality(x: np.ndarray, tol: float = 1e-10) -> dict:
@@ -478,16 +491,21 @@ def empirical_margins(
     p: NcPoly,
     config: EnsembleConfig,
     q: NcPoly | None = None,
+    samples: Sequence[Sequence[np.ndarray]] | None = None,
 ) -> MarginsReport:
     """Check the norm estimates with empirical operator norms.
 
     Covers ||dstar(P (x) 1)||_2 <= ||xi|| ||P|| and its mirror, the factor-2
     partial-trace bounds, and optionally (given q) the factor-3 bound for
     dstar on P (x) q and the factor-4 bound for the twisted partial trace.
+    `samples` is `sample(config)`, drawn here if not given; a caller that
+    checks many polynomials on one ensemble draws it once and passes it.
     """
+    if samples is None:
+        samples = sample(config)
     trace = cand.trace
     xi_l2 = trace.norm2(cand.xi[j - 1])
-    p_opnorm = opnorm_estimate(p, config)
+    p_opnorm = _opnorm(p, samples)
 
     lhs_left = trace.norm2(dstar_left(cand, j, p))
     lhs_right = trace.norm2(dstar_right(cand, j, p))
@@ -500,7 +518,7 @@ def empirical_margins(
     if q is not None:
         from .tensor import TensorPoly2
 
-        q_opnorm = opnorm_estimate(q, config)
+        q_opnorm = _opnorm(q, samples)
         lhs_tensor = trace.norm2(dstar(cand, j, TensorPoly2.of(p, q)))
         margin_dstar_tensor = 3 * xi_l2 * p_opnorm * q_opnorm - lhs_tensor
         twisted = trace.partial_trace(

@@ -67,10 +67,25 @@ class TensorPoly2(SparseTerms):
         )
 
     def bimodule_mul(self, lp: NcPoly, rq: NcPoly) -> "TensorPoly2":
-        """(lp (x) 1) self (1 (x) rq): left leg multiplied by lp, right by rq."""
-        return TensorPoly2.of(lp, NcPoly.one(self.n)) * self * TensorPoly2.of(
-            NcPoly.one(self.n), rq
-        )
+        """(lp (x) 1) self (1 (x) rq): left leg multiplied by lp, right by rq.
+
+        One pass over the three factors: u, (w1 (x) w2) and v go to
+        (u w1) (x) (w2 v) with coefficient c_u c c_v.
+        """
+        self._check_compatible(lp)
+        self._check_compatible(rq)
+        right = tuple(rq.terms.items())
+        terms: dict = {}
+        for u, c_u in lp.terms.items():
+            for (w1, w2), c in self.terms.items():
+                head = u + w1
+                c_uc = c_u * c
+                for v, c_v in right:
+                    key = (head, w2 + v)
+                    value = c_uc * c_v
+                    acc = terms.get(key)
+                    terms[key] = value if acc is None else acc + value
+        return TensorPoly2._trusted(self.n, terms)
 
     def collapse(self, eta: NcPoly) -> NcPoly:
         """m_eta: a (x) b -> a * eta * b, linearly (polynomial eta only)."""

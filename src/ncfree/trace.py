@@ -16,6 +16,15 @@ recursion over non-crossing partitions, exactly, on Scalar values; the same
 recursion inverts a moment sequence into free cumulants.  A block of a letter
 never grows past that letter's last nonzero cumulant, so semicircular words
 only ever pair letters.
+
+The recursion also uses a parity rule.  A law is symmetric exactly when its
+odd free cumulants vanish, and then Z_i -> -Z_i leaves the joint law of a
+free family unchanged (Nica and Speicher, Lectures on the Combinatorics of
+Free Probability, 2006).  So a word in which a symmetric letter --
+semicircular, Bernoulli, arcsine, the zero variable -- occurs an odd number
+of times has moment 0: every partition of it has a block of that letter of
+odd size.  Such a word is answered without the recursion.  Explicit tables
+and the inversion into cumulants never use the rule.
 """
 
 from __future__ import annotations
@@ -251,13 +260,19 @@ class DistributionSpec:
 
 
 def _nc_moment(
-    word: Word, cumulants: Sequence[Sequence[Scalar]], memo: dict[Word, Scalar]
+    word: Word,
+    cumulants: Sequence[Sequence[Scalar]],
+    memo: dict[Word, Scalar],
+    symmetric: Sequence[int] = (),
 ) -> Scalar:
     """Sum over non-crossing partitions of `word` with monochromatic blocks.
 
     A block of k copies of letter i contributes cumulants[i - 1][k - 1], and
     no block of that letter is longer than its list.  Every subword met is
     stored in `memo`, which must already hold tau() = 1.
+
+    `symmetric` lists letters whose odd cumulants are all zero.  A word with
+    an odd count of one of them is 0, stored as such before any search.
 
     A free product of tracial states is tracial, so all rotations of a word
     have one moment.  A word of length >= 2 missing from `memo` is computed
@@ -267,10 +282,14 @@ def _nc_moment(
     cached = memo.get(word)
     if cached is not None:
         return cached
+    for letter in symmetric:
+        if word.count(letter) & 1:
+            memo[word] = ZERO
+            return ZERO
     if len(word) >= 2:
         key = min(word[shift:] + word[:shift] for shift in range(len(word)))
         if key != word:
-            value = memo[word] = _nc_moment(key, cumulants, memo)
+            value = memo[word] = _nc_moment(key, cumulants, memo, symmetric)
             return value
     letter = word[0]
     kappa = cumulants[letter - 1]
@@ -282,12 +301,14 @@ def _nc_moment(
         # close the block: the tail word[start:] is a free factor
         k = kappa[block_size - 1]
         if k:
-            total = total + acc * k * _nc_moment(word[start:], cumulants, memo)
+            total = total + acc * k * _nc_moment(
+                word[start:], cumulants, memo, symmetric
+            )
         if block_size == len(kappa):
             return  # every longer block has a zero cumulant
         for nxt in range(start, len(word)):
             if word[nxt] == letter:
-                gap = _nc_moment(word[start:nxt], cumulants, memo)
+                gap = _nc_moment(word[start:nxt], cumulants, memo, symmetric)
                 if gap:
                     extend(nxt + 1, block_size + 1, acc * gap)
 
@@ -340,22 +361,28 @@ class TraceFunctional:
         variant = spec.variant
         # (limit, name) in the order a word that is too long reports them
         self._limits = [(degree_bound, "degree bound")]
-        # per letter, built on the first memo miss of a free family
-        self._cumulants: list[list[Scalar]] | None = None
         if isinstance(variant, ExplicitMoments):
             self._limits.append((variant.degree, "explicit table degree"))
-            self._memo: dict[Word, Scalar] = {**variant.table, (): ONE}
-        else:
-            self._memo = {(): ONE}
-        if isinstance(variant, FreeFamily):
-            for letter, seq in enumerate(variant.moments, start=1):
-                for k, m_k in enumerate(seq, start=1):
-                    self._memo[(letter,) * k] = Scalar(m_k)
-            if variant.moments:
-                depth = min(len(seq) for seq in variant.moments)
-                self._limits.append((depth, "supplied moment depth"))
+        elif isinstance(variant, FreeFamily) and variant.moments:
+            depth = min(len(seq) for seq in variant.moments)
+            self._limits.append((depth, "supplied moment depth"))
         #: the longest word `moment` evaluates without DegreeBoundExceeded
         self.max_word_length = min(limit for limit, _ in self._limits)
+        # per letter, built on the first memo miss of a free family, with
+        # the letters whose odd cumulants vanish
+        self._cumulants: list[list[Scalar]] | None = None
+        self._symmetric: tuple[int, ...] = ()
+        # the memo holds only words `moment` accepts, so a hit can be read
+        # straight from it (check_conjugate does)
+        self._memo: dict[Word, Scalar] = {(): ONE}
+        if isinstance(variant, ExplicitMoments):
+            for word, value in variant.table.items():
+                if len(word) <= self.max_word_length:
+                    self._memo[word] = value
+        elif isinstance(variant, FreeFamily):
+            for letter, seq in enumerate(variant.moments, start=1):
+                for k, m_k in enumerate(seq[: self.max_word_length], start=1):
+                    self._memo[(letter,) * k] = Scalar(m_k)
 
     def _letter_cumulants(self) -> list[list[Scalar]]:
         """Per letter, kappa_1..kappa_m cut after the last nonzero cumulant:
@@ -390,7 +417,12 @@ class TraceFunctional:
                 if isinstance(self.spec.variant, ExplicitMoments):
                     raise UnknownMoment(f"no table entry for word {word}")
                 self._cumulants = self._letter_cumulants()
-            value = _nc_moment(word, self._cumulants, self._memo)
+                self._symmetric = tuple(
+                    letter
+                    for letter, kappa in enumerate(self._cumulants, start=1)
+                    if not any(kappa[0::2])
+                )
+            value = _nc_moment(word, self._cumulants, self._memo, self._symmetric)
         return value
 
     # -- linear extensions --------------------------------------------------

@@ -233,3 +233,11 @@ def identity_start_evaluate_oracle(poly, matrices):
             value = value @ matrices[letter - 1]
         result += complex(coeff) * value
     return result
+
+
+def gue_draw_oracle(variance, dim, rng):
+    """A GUE matrix by the complex formula sqrt(v) (raw + raw^*) / (2 sqrt(dim)),
+    raw = a + ib with a, b drawn from `rng` in that order."""
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    mat = (raw + raw.conj().T) / (2.0 * np.sqrt(dim))
+    return np.sqrt(variance) * mat

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,7 +10,11 @@ from pathlib import Path
 import pytest
 
 import ncfree
+from ncfree import randmat
 from ncfree.cli import main
+from ncfree.sweeps import rand_nonzero_poly
+
+from conftest import gens
 
 
 @pytest.fixture
@@ -280,6 +285,33 @@ def test_margins_sweep(semicircular_spec, capsys):
     assert code == 0
     assert document["result"]["worst_margin"] > -0.05
     assert len(document["result"]["reports"]) == 3
+
+
+def test_margins_draws_its_ensemble_once(semicircular_spec, capsys, monkeypatch):
+    draws = []
+    original = randmat._draws
+
+    def counting(config):
+        draws.append(config)
+        return original(config)
+
+    monkeypatch.setattr(randmat, "_draws", counting)
+    argv = ["margins", "--spec", semicircular_spec, "--xi", "1 * Z 1;1 * Z 2"]
+    assert main(argv + ["--trials", "3", "--degree", "3", "--seed", "2"]) == 0
+    document, _ = read_result(capsys)
+    assert len(draws) == 1
+    # the reports are those of trials that each draw the ensemble themselves
+    config = randmat.EnsembleConfig(2, 60, (randmat.GUE(),) * 2, 2, 2)
+    cand = ncfree.ConjugateCandidate(gens(2), ncfree.DistributionSpec.standard_semicircular(2), 10)
+    rng = random.Random(2)
+    expected = []
+    for _ in range(3):
+        p = rand_nonzero_poly(rng, 2, 3)
+        j = rng.randint(1, 2)
+        report = randmat.empirical_margins(cand, j, p, config)
+        expected.append({"poly": p.to_text(), "j": j, **report.to_dict()})
+    assert len(draws) == 4
+    assert document["result"]["reports"] == expected
 
 
 @pytest.mark.parametrize("slack", ["nan", "inf", "-inf"])

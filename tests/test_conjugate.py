@@ -28,7 +28,7 @@ from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_poly, rand_word
 from ncfree.trace import ExplicitMoments, FreeFamily, SemicircularFamily
 
-from conftest import gens
+from conftest import bernoulli_spec, gens
 from oracles import (
     conjugate_failures_oracle,
     free_moment_oracle,
@@ -109,6 +109,10 @@ def _oracle_cases():
     def free_poisson_moment(w):
         return free_moment_oracle(w, [[1] * 8, [1] * 8])
 
+    def bernoulli_moment(w):
+        return Fraction(1 - len(w) % 2)
+
+    (z,) = gens(1)
     z1, z2 = gens(2)
     y1, y2, y3 = gens(3)
     return [
@@ -123,6 +127,16 @@ def _oracle_cases():
         # failure carries the conjugate of a complex rhs
         ("free-poisson-2", free_poisson, [z1, Scalar(0, 1) * (z1 * z2 - z2 * z1)], 5,
          free_poisson_moment),
+        # tau(1 w) is nonzero only where tau(2 w) is 0: failures with a zero
+        # side on either side of the relation
+        ("semicircular-2-swapped", semicircular_2, [z2, z1], 6, semicircular_2_moment),
+        # complex and not self-adjoint: no mirror, every word evaluated
+        ("semicircular-2-complex", semicircular_2,
+         [Scalar(1, 1) * z1 + Scalar(0, 2) * (z1 * z2), z2 - Scalar(0, 1) * (z2 * z2 * z1)],
+         4, semicircular_2_moment),
+        # an explicit table: every moment is a table lookup, misses raise
+        ("bernoulli-table", bernoulli_spec(6), [Scalar(1, 1) * z - z * z * z], 3,
+         bernoulli_moment),
     ]
 
 
@@ -139,6 +153,33 @@ def test_conjugate_failures_match_the_oracle(case):
         (j, word, (lhs.re, lhs.im), (rhs.re, rhs.im))
         for j, word, lhs, rhs in failures
     ] == expected
+
+
+def test_zero_sides_are_reported():
+    cand = ConjugateCandidate(gens(2)[::-1], DistributionSpec.standard_semicircular(2))
+    failures = check_conjugate(cand, degree=4).failures
+    assert (1, (1,), Scalar(1), Scalar(0)) in failures
+    assert (1, (2,), Scalar(0), Scalar(1)) in failures
+    assert all(lhs.is_zero() != rhs.is_zero() for _, _, lhs, rhs in failures)
+
+
+def test_a_degree_past_the_table_still_raises():
+    (z,) = gens(1)
+    cand = ConjugateCandidate([z], bernoulli_spec(4))
+    assert not check_conjugate(cand, degree=3).passed
+    with pytest.raises(DegreeBoundExceeded, match="explicit table degree 4"):
+        check_conjugate(cand, degree=4)
+    # letter 2 is missing from the table: its words raise as they are met
+    table = {(1,) * k: Scalar(1 - k % 2) for k in range(5)}
+    cand = ConjugateCandidate(gens(2), DistributionSpec(2, ExplicitMoments(table, 4)))
+    with pytest.raises(UnknownMoment, match=r"\(2,\)"):
+        check_conjugate(cand, degree=1)
+    # a free letter given fewer moments than the other bounds every word
+    catalan = (1, 2, 5, 14, 42, 132)
+    cand = ConjugateCandidate(gens(2), DistributionSpec(2, FreeFamily((catalan, catalan[:4]))))
+    check_conjugate(cand, degree=3)
+    with pytest.raises(DegreeBoundExceeded, match="supplied moment depth 4"):
+        check_conjugate(cand, degree=4)
 
 
 def test_explicit_table_reports_the_missing_word():

@@ -23,10 +23,15 @@ from ncfree.randmat import (
     sample,
     spectrum,
 )
+from ncfree.randmat import _draw
 from ncfree.scalars import Scalar
 
 from conftest import gens
-from oracles import greedy_atom_scan_oracle, identity_start_evaluate_oracle
+from oracles import (
+    greedy_atom_scan_oracle,
+    gue_draw_oracle,
+    identity_start_evaluate_oracle,
+)
 
 
 def gue_config(n, dim, samples, seed=7):
@@ -34,6 +39,16 @@ def gue_config(n, dim, samples, seed=7):
 
 
 # -- sampling ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 40])
+def test_gue_draw_is_the_complex_formula_bit_for_bit(dim):
+    for variance in (0.0, 0.5, 1.0, 2.0, 3.7):
+        for seed in range(3):
+            drawn = _draw(GUE(variance), None, dim, np.random.default_rng(seed))
+            expected = gue_draw_oracle(variance, dim, np.random.default_rng(seed))
+            assert drawn.dtype == expected.dtype
+            assert drawn.tobytes() == expected.tobytes(), (variance, seed)
 
 
 def test_sampling_is_deterministic():

@@ -169,6 +169,59 @@ def test_bimodule_units():
     )
 
 
+def composed_bimodule(s, lp, rq):
+    """(lp (x) 1) s (1 (x) rq) as two products in the tensor algebra."""
+    one = NcPoly.one(s.n)
+    return TensorPoly2.of(lp, one) * s * TensorPoly2.of(one, rq)
+
+
+def test_bimodule_matches_the_composed_product(rng):
+    for _ in range(60):
+        s = TensorPoly2.of(rand_poly(rng, 3, 3), rand_poly(rng, 3, 3)) + TensorPoly2.of(
+            rand_poly(rng, 3, 2), rand_poly(rng, 3, 2)
+        )
+        lp, rq = rand_poly(rng, 3, 2, max_terms=4), rand_poly(rng, 3, 2, max_terms=4)
+        assert s.bimodule_mul(lp, rq) == composed_bimodule(s, lp, rq)
+
+
+def test_bimodule_drops_cancelled_terms():
+    z1, z2 = gens(2)
+    one = NcPoly.one(2)
+    # (Z1 + Z1 Z1) (Z1 - 1) = Z1 Z1 Z1 - Z1 on the left leg: Z1 Z1 cancels
+    lp = Scalar(1, 2) * (z1 + z1 * z1)
+    s = TensorPoly2.of(z1 - one, z2) + TensorPoly2.of(z2, Scalar(0, 1) * z1)
+    rq = z2 - Scalar(3, -1) * one
+    result = s.bimodule_mul(lp, rq)
+    assert result == composed_bimodule(s, lp, rq)
+    assert all(not c.is_zero() for c in result.terms.values())
+    assert not any(w1 == (1, 1) for w1, _ in result.terms)
+    # terms that cancel to nothing at all
+    lp = z1 + z2
+    s = TensorPoly2.of(z2, one) - TensorPoly2.of(z1, one)
+    assert s.bimodule_mul(z1 - z2, rq) == composed_bimodule(s, z1 - z2, rq)
+    assert TensorPoly2.zero(2).bimodule_mul(lp, rq).is_zero()
+    assert s.bimodule_mul(NcPoly.zero(2), rq).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(tensors, tensors, tensors)
+def test_bimodule_matches_the_composed_product_on_sums(s, t, u):
+    lp = NcPoly(3, {w1: c for (w1, _), c in t.terms.items()})
+    rq = NcPoly(3, {w2: c for (_, w2), c in u.terms.items()})
+    assert s.bimodule_mul(lp, rq) == composed_bimodule(s, lp, rq)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_bimodule_generator_count_mismatch(side):
+    s = TensorPoly2.one(2)
+    other = NcPoly.gen(3, 1)
+    with pytest.raises(GeneratorCountMismatch):
+        if side == "left":
+            s.bimodule_mul(other, NcPoly.one(2))
+        else:
+            s.bimodule_mul(NcPoly.one(2), other)
+
+
 # -- collapse -----------------------------------------------------------------------
 
 

@@ -119,6 +119,96 @@ def test_free_family_moments_are_rotation_invariant():
                 assert trace.moment(word[shift:] + word[:shift]) == value, word
 
 
+# -- the parity rule: a word odd in a symmetric letter is 0 -------------------------
+
+#: Bernoulli +-1: odd cumulants 0, kappa_2k = (-1)^(k-1) Catalan(k-1)
+BERNOULLI_MOMENTS = (0, 1) * 5
+BERNOULLI_CUMULANTS = (0, 1, 0, -1, 0, 2, 0, -5, 0, 14)
+#: free Poisson of rate 1: every cumulant is 1, so the law is not symmetric
+POISSON_MOMENTS = (1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
+POISSON_CUMULANTS = (1,) * 10
+
+
+def parity_words(rng, odd_letter=None, count=16, max_len=8):
+    """Random words over 1, 2: `count` of length <= max_len, then two of
+    length 9 and 10.  With `odd_letter`, each word has an odd count of that
+    letter and an even count of the other, so its length is odd."""
+    words = []
+    for length in [rng.randint(0, max_len) for _ in range(count)] + [9, 10]:
+        if odd_letter is None:
+            words.append(tuple(rng.randint(1, 2) for _ in range(length)))
+            continue
+        length = min(length | 1, 9)
+        k = rng.randrange(1, length + 1, 2)
+        word = [odd_letter] * k + [3 - odd_letter] * (length - k)
+        rng.shuffle(word)
+        words.append(tuple(word))
+    return words
+
+
+def test_parity_rule_matches_the_pairing_oracle(rng):
+    variances = (Fraction(1), Fraction(3, 2))
+    for odd_letter in (None, 1, 2):
+        trace = TraceFunctional(DistributionSpec(2, SemicircularFamily(variances)))
+        for word in parity_words(rng, odd_letter, count=30, max_len=10):
+            expected = Scalar(semicircular_moment_oracle(word, variances))
+            assert trace.moment(word) == expected, word
+
+
+@pytest.mark.parametrize(
+    "moments, cumulants",
+    [
+        ((BERNOULLI_MOMENTS, BERNOULLI_MOMENTS), (BERNOULLI_CUMULANTS, BERNOULLI_CUMULANTS)),
+        ((POISSON_MOMENTS, POISSON_MOMENTS), (POISSON_CUMULANTS, POISSON_CUMULANTS)),
+        ((BERNOULLI_MOMENTS, POISSON_MOMENTS), (BERNOULLI_CUMULANTS, POISSON_CUMULANTS)),
+    ],
+    ids=["bernoulli", "free-poisson", "bernoulli-and-free-poisson"],
+)
+def test_parity_rule_matches_the_partition_oracle(rng, moments, cumulants):
+    trace = TraceFunctional(DistributionSpec(2, FreeFamily(moments)))
+    words = parity_words(rng) + parity_words(rng, odd_letter=1, count=6)
+    words += parity_words(rng, odd_letter=2, count=6)
+    for word in words:
+        expected = Scalar(free_moment_oracle(word, cumulants))
+        assert trace.moment(word) == expected, word
+
+
+def test_parity_rule_answers_before_the_recursion():
+    mixed = FreeFamily((BERNOULLI_MOMENTS, POISSON_MOMENTS))
+    for spec, word in [
+        (DistributionSpec.standard_semicircular(2), (1, 2, 2, 1, 2)),
+        (DistributionSpec(2, mixed), (2, 1, 2, 2, 1, 1, 2)),
+        # the zero variable: every odd power is 0
+        (DistributionSpec(2, FreeFamily(((0,) * 8, POISSON_MOMENTS[:8]))), (2, 1, 2)),
+    ]:
+        trace = TraceFunctional(spec)
+        before = set(trace._memo)
+        assert trace.moment(word) == Scalar(0)
+        assert set(trace._memo) - before == {word}
+    # a word odd in the free Poisson letter only is computed, and is not 0
+    trace = TraceFunctional(DistributionSpec(2, mixed))
+    before = len(trace._memo)
+    assert trace.moment((2, 1, 2, 2, 1)) == Scalar(
+        free_moment_oracle((2, 1, 2, 2, 1), (BERNOULLI_CUMULANTS, POISSON_CUMULANTS))
+    )
+    assert trace.moment((2, 1, 2, 2, 1)) != Scalar(0)
+    assert len(trace._memo) > before + 1
+
+
+def test_memo_holds_only_words_moment_accepts():
+    # table deeper than the degree bound, free letters of unequal depth
+    table = {(1,) * k: Scalar(0 if k % 2 else 1) for k in range(7)}
+    for spec, bound in [
+        (DistributionSpec(1, ExplicitMoments(table, 6)), 4),
+        (DistributionSpec(2, FreeFamily((POISSON_MOMENTS, POISSON_MOMENTS[:4]))), 12),
+    ]:
+        trace = TraceFunctional(spec, degree_bound=bound)
+        assert trace.max_word_length == 4
+        assert max(len(word) for word in trace._memo) == 4
+        with pytest.raises(DegreeBoundExceeded):
+            trace.moment((1,) * 5)
+
+
 def test_free_family_reproduces_its_own_moment_sequences():
     moments = ((Fraction(1), Fraction(3), Fraction(10)),)
     trace = TraceFunctional(DistributionSpec(1, FreeFamily(moments)))
