@@ -272,6 +272,7 @@ def cmd_spectrum(args, data: dict) -> int:
 
 
 def cmd_margins(args, data: dict) -> int:
+    """Margins of random polynomials, all measured on one resident ensemble."""
     spec = distribution_from(data)
     config = ensemble_from(data, args.seed)
     cand = candidate_from(args, data, spec)

@@ -9,6 +9,11 @@ operator norm appearing in the inequality right-hand sides.
 All sampling is reproducible: the generator is numpy's PCG64 and each sample
 gets a child seed derived from the root seed and its index, so aggregation
 is order-independent.
+
+`spectrum` and `opnorm_estimate` draw the samples one at a time, so they
+hold one matrix tuple at once whatever the sample count.  `sample` returns
+every tuple at once; `empirical_margins` keeps that ensemble resident,
+because it measures p, q and every trial on the same tuples.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -208,15 +213,18 @@ def _draw(
     `quadrature` is the tag's (nodes, weights) for DiagonalFromMoments.
     """
     if isinstance(tag, GUE):
-        # (raw + raw^*) / (2 sqrt(dim)) for raw = a + ib, filled part by part;
-        # numpy divides a complex array by a real by multiplying with the
-        # reciprocal, so this is the complex formula bit for bit
+        # (raw + raw^*) / (2 sqrt(dim)) for raw = a + ib, filled part by part
+        # in place; numpy divides a complex array by a real by multiplying
+        # with the reciprocal, so this is the complex formula bit for bit
         a = rng.standard_normal((dim, dim))
         b = rng.standard_normal((dim, dim))
         inv = 1.0 / (2.0 * np.sqrt(dim))
         mat = np.empty((dim, dim), dtype=complex)
-        mat.real = (a + a.T) * inv
-        mat.imag = (b - b.T) * inv
+        re, im = mat.real, mat.imag
+        np.add(a, a.T, out=re)
+        re *= inv
+        np.subtract(b, b.T, out=im)
+        im *= inv
         if tag.variance != 1.0:
             mat *= np.sqrt(tag.variance)
         return mat
@@ -245,11 +253,22 @@ def _draws(config: EnsembleConfig):
         ]
 
 
+def _dense(draws: list[np.ndarray]) -> list[np.ndarray]:
+    return [np.diag(x) if x.ndim == 1 else x for x in draws]
+
+
+def _tuples(config: EnsembleConfig) -> Iterator[list[np.ndarray]]:
+    """Per sample index, its dense matrix tuple, drawn when asked for.
+
+    `map` keeps no reference to a tuple once it is handed on, so a consumer
+    that also keeps none (one that maps over this) holds one tuple at a time.
+    """
+    return map(_dense, _draws(config))
+
+
 def sample(config: EnsembleConfig) -> list[list[np.ndarray]]:
-    """One matrix tuple per sample, deterministic in the seed."""
-    return [
-        [np.diag(x) if x.ndim == 1 else x for x in draws] for draws in _draws(config)
-    ]
+    """One matrix tuple per sample, deterministic in the seed, all resident."""
+    return list(_tuples(config))
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +295,13 @@ def _spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def _opnorm(p: NcPoly, samples: Sequence[Sequence[np.ndarray]]) -> float:
-    return max(_spectral_norm(p.evaluate(mats)) for mats in samples)
+def _opnorm(p: NcPoly, tuples: Iterable[Sequence[np.ndarray]]) -> float:
+    return max(map(lambda mats: _spectral_norm(p.evaluate(mats)), tuples))
 
 
 def opnorm_estimate(p: NcPoly, config: EnsembleConfig) -> float:
-    """Largest singular value of p(X) over the sampled tuples."""
-    return _opnorm(p, sample(config))
+    """Largest singular value of p(X) over the sampled tuples, one at a time."""
+    return _opnorm(p, _tuples(config))
 
 
 def kernel_traciality(x: np.ndarray, tol: float = 1e-10) -> dict:
@@ -400,7 +419,11 @@ def spectrum(
     bins: int = 100,
     window_scale: float = ATOM_WINDOW_SCALE,
 ) -> SpectralReport:
-    """Pooled eigenvalues, histogram and atom estimates of p over the ensemble."""
+    """Pooled eigenvalues, histogram and atom estimates of p over the ensemble.
+
+    The samples are drawn and evaluated one at a time: only one tuple, its
+    p(X) and the pooled eigenvalues are held at once.
+    """
     if not p.is_self_adjoint():
         raise ValueError("spectrum requires a self-adjoint polynomial")
     if all(isinstance(tag, DIAGONAL_TAGS) for tag in config.ensembles):
@@ -417,7 +440,9 @@ def spectrum(
             for diagonals in _draws(config)
         ]
     else:
-        pooled = [np.linalg.eigvalsh(p.evaluate(mats)) for mats in sample(config)]
+        pooled = list(
+            map(lambda mats: np.linalg.eigvalsh(p.evaluate(mats)), _tuples(config))
+        )
     eigenvalues = np.sort(np.concatenate(pooled))
     counts, bin_edges = np.histogram(eigenvalues, bins=bins)
     width = window_scale / np.sqrt(len(eigenvalues))
@@ -500,6 +525,8 @@ def empirical_margins(
     dstar on P (x) q and the factor-4 bound for the twisted partial trace.
     `samples` is `sample(config)`, drawn here if not given; a caller that
     checks many polynomials on one ensemble draws it once and passes it.
+    The ensemble stays resident, since p and q are measured on the same
+    tuples.
     """
     if samples is None:
         samples = sample(config)

@@ -445,9 +445,10 @@ class TraceFunctional:
         terms: dict = {}
         for key, coeff in s.terms.items():
             traced, kept = split(key)
-            value = coeff * self.moment(traced)
-            if value.is_zero():
+            moment = self.moment(traced)
+            if moment.is_zero():
                 continue
+            value = coeff * moment
             acc = terms.get(kept)
             terms[kept] = value if acc is None else acc + value
         return result_cls._trusted(s.n, terms)

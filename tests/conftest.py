@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncfree
 from ncfree import DistributionSpec, NcPoly, TraceFunctional
 from ncfree.scalars import Scalar
 from ncfree.trace import ExplicitMoments
@@ -35,3 +40,17 @@ def bernoulli_spec(max_degree: int = 4) -> DistributionSpec:
 
 def gens(n: int) -> list[NcPoly]:
     return [NcPoly.gen(n, i) for i in range(1, n + 1)]
+
+
+def run_python(script, *argv):
+    """Run `script` in a new interpreter that imports this checkout's ncfree."""
+    src = str(Path(ncfree.__file__).resolve().parents[1])
+    path_entries = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )

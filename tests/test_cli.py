@@ -1,11 +1,7 @@
 import argparse
 import json
-import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -14,7 +10,7 @@ from ncfree import randmat
 from ncfree.cli import main
 from ncfree.sweeps import rand_nonzero_poly
 
-from conftest import gens
+from conftest import gens, run_python
 
 
 @pytest.fixture
@@ -50,20 +46,6 @@ def bernoulli_cli_spec(tmp_path):
         )
     )
     return str(path)
-
-
-def run_python(script, *argv):
-    """Run `script` in a new interpreter that imports this checkout's ncfree."""
-    src = str(Path(ncfree.__file__).resolve().parents[1])
-    path_entries = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
-    return subprocess.run(
-        [sys.executable, "-c", script, *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
 
 
 def read_result(capsys):

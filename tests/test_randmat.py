@@ -1,3 +1,6 @@
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,7 @@ from ncfree.randmat import (
 from ncfree.randmat import _draw
 from ncfree.scalars import Scalar
 
-from conftest import gens
+from conftest import gens, run_python
 from oracles import (
     greedy_atom_scan_oracle,
     gue_draw_oracle,
@@ -134,10 +137,10 @@ def test_diagonal_from_moments_matches_its_moments():
     config = EnsembleConfig(
         1, 4000, (DiagonalFromMoments((0.5, 0.5, 0.5, 0.5)),), 1, 11
     )
-    x = sample(config)[0][0]
-    z = NcPoly.gen(1, 1)
-    assert abs(empirical_trace(z, [x]) - 0.5) < 0.05
-    assert abs(empirical_trace(z ** 2, [x]) - 0.5) < 0.05
+    # the diagonal path of spectrum: its eigenvalues are the drawn entries
+    x = spectrum(NcPoly.gen(1, 1), config).eigenvalues
+    assert abs(np.mean(x) - 0.5) < 0.05
+    assert abs(np.mean(x ** 2) - 0.5) < 0.05
 
 
 def test_config_round_trip():
@@ -316,6 +319,89 @@ def test_diagonal_spectrum_equals_dense_eigvalsh():
         for p in polys:
             report = spectrum(p, config)
             assert np.array_equal(report.eigenvalues, dense_pooled_eigenvalues(p, config))
+
+
+@pytest.mark.parametrize("samples", [1, 5])
+@pytest.mark.parametrize(
+    "tags",
+    [
+        (GUE(), GUE()),
+        (GUE(2.5), GUE(0.3)),
+        (GUE(), DiagonalFromMoments((0.0, 2.0, 2.0, 6.0))),
+    ],
+    ids=["gue", "gue-variances", "gue-diagonal-moments"],
+)
+def test_streamed_spectrum_equals_the_pooled_sample(tags, samples):
+    z1, z2 = gens(2)
+    config = EnsembleConfig(2, 24, tags, samples, 17)
+    for p in (z1 * z2 + z2 * z1, z1 * z1 * z2 * z1 * z1 - 2 * z2 + 1):
+        report = spectrum(p, config)
+        assert report.eigenvalues.tobytes() == dense_pooled_eigenvalues(p, config).tobytes()
+
+
+def test_streamed_opnorm_equals_the_max_over_the_sample():
+    z1, z2 = gens(2)
+    config = EnsembleConfig(2, 24, (GUE(), DiagonalRademacher()), 5, 19)
+    for p in (z1 * z2, z1 * z2 * z1 - 3 * z2 + Scalar(0, 1)):
+        expected = max(
+            float(np.linalg.svd(p.evaluate(mats), compute_uv=False)[0])
+            for mats in sample(config)
+        )
+        assert opnorm_estimate(p, config) == expected
+
+
+@pytest.fixture
+def live_draws(monkeypatch):
+    """Per call of `_draw`, the sample indices of the draws alive just after it.
+
+    Each drawn array is watched with weakref.finalize, so the list shows
+    which tuples a consumer still holds whenever it draws.
+    """
+    calls = itertools.count()
+    alive: dict[object, int] = {}  # token -> sample index of a live draw
+    seen: list[set[int]] = []
+
+    def watched_draw(tag, quadrature, dim, rng):
+        drawn = _draw(tag, quadrature, dim, rng)
+        token = object()
+        alive[token] = next(calls) // 2  # two tags per tuple
+        weakref.finalize(drawn, alive.pop, token)
+        seen.append(set(alive.values()))
+        return drawn
+
+    monkeypatch.setattr("ncfree.randmat._draw", watched_draw)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "consume", [spectrum, opnorm_estimate], ids=["spectrum", "opnorm_estimate"]
+)
+def test_streamed_consumers_hold_one_tuple(live_draws, consume):
+    z1, z2 = gens(2)
+    config = EnsembleConfig(2, 8, (GUE(), GUE()), 6, 23)
+    consume(z1 * z2 + z2 * z1, config)
+    # while a tuple is drawn, no earlier tuple is alive
+    assert live_draws == [{call // 2} for call in range(12)]
+
+
+def test_streamed_spectrum_memory_is_one_tuple():
+    # 40 GUE pairs at dim 300 are 115 MB; streamed, the peak is one pair
+    # (ru_maxrss is in KiB on Linux)
+    script = (
+        "import resource\n"
+        "from ncfree import EnsembleConfig, NcPoly\n"
+        "from ncfree.randmat import GUE, spectrum\n"
+        "z1, z2 = NcPoly.gen(2, 1), NcPoly.gen(2, 2)\n"
+        "p = z1 * z2 + z2 * z1\n"
+        "spectrum(p, EnsembleConfig(2, 300, (GUE(), GUE()), 1, 5))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "spectrum(p, EnsembleConfig(2, 300, (GUE(), GUE()), 40, 5))\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((after - before) / 1024)\n"
+    )
+    done = run_python(script)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 40.0
 
 
 def test_quadrature_is_solved_once_per_tag(monkeypatch):
