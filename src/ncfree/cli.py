@@ -11,11 +11,12 @@ flag and SystemExit(0) on --help.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or configuration error, 3 internal error.  A negative --degree or
---trials, a --slack that is NaN or infinite, an --out file that cannot be
-written, an inconsistent explicit moment table and a Gram matrix that is
-not positive semidefinite are usage errors (2), never a verification
-failure.  Any other exception is reported as an internal error (3): an
-`internal error:` line and the traceback go to stderr.
+--trials, a duality --degree of 0, a --slack that is NaN or infinite, an
+--out file that cannot be written, an inconsistent explicit moment table,
+an ensemble whose matrix count differs from the trace's generator count and
+a Gram matrix that is not positive semidefinite are usage errors (2), never
+a verification failure.  Any other exception is reported as an internal
+error (3): an `internal error:` line and the traceback go to stderr.
 """
 
 from __future__ import annotations
@@ -217,6 +218,9 @@ def cmd_verify_conjugate(args, data: dict) -> int:
 def cmd_duality(args, data: dict) -> int:
     trace = trace_from(data)
     n = trace.spec.n
+    if args.degree < 1:
+        # the second word of every trial has at least one letter
+        raise ConfigError(f"--degree must be at least 1 for duality, got {args.degree}")
     rng = random.Random(args.seed)
     failures = []
     for _ in range(args.trials):
@@ -309,7 +313,7 @@ def cmd_report(args, data: dict) -> int:
         info, conjugate_report = None, exc.report
     else:
         conjugate_report = VerificationReport(info.degree_checked, ())
-    kernel_degree = min(args.degree, cand.trace.degree_bound // 2)
+    kernel_degree = min(args.degree, cand.trace.max_word_length // 2)
     relations = relations_block(cand.trace, kernel_degree)
     result = {"conjugate": conjugate_report.to_dict(), "relations": relations}
     if info is not None:

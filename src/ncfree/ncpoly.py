@@ -30,6 +30,9 @@ NEG_INF = float("-inf")
 #: operand types that act as scalar multiples of the unit
 _SCALARS = (int, Fraction, Scalar)
 
+#: largest entry of a - a^* that `evaluate` accepts as Hermitian
+HERMITIAN_TOL = 1e-8
+
 
 def is_letter(letter, n: int) -> bool:
     """Whether `letter` is an integer generator index in 1..n."""
@@ -291,9 +294,7 @@ class NcPoly(SparseTerms):
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(
-        self, assignment: Sequence[np.ndarray], hermitian_tol: float = 1e-8
-    ) -> np.ndarray:
+    def evaluate(self, assignment: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate at a tuple of self-adjoint matrices (ring homomorphism)."""
         if len(assignment) != self.n:
             raise EvaluationError(
@@ -305,7 +306,7 @@ class NcPoly(SparseTerms):
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise EvaluationError("assignment matrices must be square")
             dims.add(a.shape[0])
-            if np.max(np.abs(a - a.conj().T), initial=0.0) > hermitian_tol:
+            if np.max(np.abs(a - a.conj().T), initial=0.0) > HERMITIAN_TOL:
                 raise EvaluationError("assignment matrix is not Hermitian")
         if len(dims) > 1:
             raise EvaluationError(f"mixed matrix dimensions: {sorted(dims)}")

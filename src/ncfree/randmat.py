@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -29,6 +30,8 @@ from .conjugate import ConjugateCandidate, dstar, dstar_left, dstar_right
 from .derivations import d
 from .errors import EvaluationError
 from .ncpoly import NcPoly
+from .reduction import ldl
+from .scalars import ZERO, Scalar
 from .trace import json_int, json_list, json_real
 
 RNG_NAME = "numpy-pcg64"
@@ -142,53 +145,42 @@ class EnsembleConfig:
 ZERO_NORM = Fraction(1, 10**12)
 
 
-def _recurrence(moments: Sequence[float]) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact recurrence coefficients a_j and norms h_j of the moment sequence.
-
-    For L(x^i) = m_i with m_0 = 1, the monic orthogonal polynomials satisfy
-    pi_{j+1} = (x - a_j) pi_j - (h_j / h_{j-1}) pi_{j-1}, h_j = L(pi_j^2).
-    Chebyshev's algorithm (Gautschi 2004) carries the mixed moments
-    L(pi_j x^l) for j < k = len(moments) // 2.  It stops at the first
-    h_j that is 0 up to the rounding of the given floats (|h_j| <= 1e-12 m_2j),
-    where the measure has j atoms, and rejects any other h_j < 0.  h_k is not
-    tested: it reads m_2k, which only the caller's reproduction check judges.
-    """
-    k = len(moments) // 2
-    m = [Fraction(1), *map(Fraction, moments)]
-    # row[l] = L(pi_j x^l) for the current j, last[l] = L(pi_{j-1} x^l)
-    last, row = [0] * len(m), m
-    a: list[Fraction] = []
-    h: list[Fraction] = []
-    for j in range(k):
-        if abs(row[j]) <= ZERO_NORM * m[2 * j]:
-            break
-        if row[j] < 0:
-            raise ValueError("moment sequence is not positive")
-        a.append(row[j + 1] / row[j] - (last[j] / h[-1] if h else 0))
-        b = row[j] / h[-1] if h else 0
-        h.append(row[j])
-        last, row = row, [
-            row[l + 1] - a[-1] * row[l] - b * last[l] for l in range(len(row) - 1)
-        ]
-    return a, h
-
-
 def quadrature_from_moments(moments: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the discrete measure matching m_1..m_2k (Golub-Welsch).
 
-    With m_0 = 1 and the floats taken as exact fractions, k = len(moments) // 2
-    steps of the exact recurrence (`_recurrence`) give the Jacobi matrix: a_j
-    on the diagonal, sqrt(h_j / h_{j-1}) beside it.  Its eigenvalues are the
-    nodes, and the squared first components of its eigenvectors the weights.
+    With m_0 = 1 and the floats taken as exact fractions, the first
+    k = len(moments) // 2 pivots of the `ldl` of the Hankel matrix
+    [m_(a+b)], a, b <= k, are the norms h_j of the monic orthogonal
+    polynomials, and its factor L gives their recurrence coefficients
+    a_j = L[j+1][j] - L[j][j-1] (Golub and Welsch 1969).  The Jacobi matrix
+    has a_j on the diagonal and sqrt(h_j / h_(j-1)) beside it; its
+    eigenvalues are the nodes, and the squared first components of its
+    eigenvectors the weights.  The pivots stop at the first h_j that is 0 up
+    to the rounding of the given floats (|h_j| <= 1e-12 m_2j), where the
+    measure has j atoms, and any other h_j < 0 is rejected.  h_k is not
+    taken: it reads m_2k, which only the reproduction check judges.
     """
     if len(moments) < 2:
         raise ValueError("need at least two moments")
-    a, h = _recurrence(moments)
+    k = len(moments) // 2
+    m = [Fraction(1), *map(Fraction, moments)]
+    hankel = [[Scalar(m_i) for m_i in m[i : i + k + 1]] for i in range(k + 1)]
+    a: list[Fraction] = []
+    h: list[Fraction] = []
+    previous: dict[int, Scalar] = {}
+    for j, pivot, factor in islice(ldl(hankel), k):
+        if abs(pivot.re) <= ZERO_NORM * m[2 * j]:
+            break
+        if pivot.re < 0:
+            raise ValueError("moment sequence is not positive")
+        a.append((factor.get(j + 1, ZERO) - previous.get(j, ZERO)).re)
+        h.append(pivot.re)
+        previous = factor
     off = np.sqrt([float(h_j / h_i) for h_i, h_j in zip(h, h[1:])])
     jacobi = np.diag([float(a_j) for a_j in a]) + np.diag(off, 1) + np.diag(off, -1)
     nodes, vectors = np.linalg.eigh(jacobi)
     weights = vectors[0] ** 2
-    # the recurrence reads only the first moments; verify the measure has them all
+    # the pivots read only the first moments; verify the measure has them all
     for j, target in enumerate(np.asarray(moments, dtype=float), start=1):
         value = float(np.sum(weights * nodes ** j))
         if abs(value - target) > 1e-8 * max(1.0, abs(target)):
@@ -413,12 +405,7 @@ class SpectralReport:
         return [["eigenvalue"]] + [[repr(v)] for v in self.eigenvalues.tolist()]
 
 
-def spectrum(
-    p: NcPoly,
-    config: EnsembleConfig,
-    bins: int = 100,
-    window_scale: float = ATOM_WINDOW_SCALE,
-) -> SpectralReport:
+def spectrum(p: NcPoly, config: EnsembleConfig, bins: int = 100) -> SpectralReport:
     """Pooled eigenvalues, histogram and atom estimates of p over the ensemble.
 
     The samples are drawn and evaluated one at a time: only one tuple, its
@@ -426,6 +413,8 @@ def spectrum(
     """
     if not p.is_self_adjoint():
         raise ValueError("spectrum requires a self-adjoint polynomial")
+    if config.n != p.n:
+        raise EvaluationError(f"expected {p.n} matrices, got {config.n}")
     if all(isinstance(tag, DIAGONAL_TAGS) for tag in config.ensembles):
         # diagonal matrices: the words are elementwise products, and the
         # eigenvalues of the diagonal p(X) are its real entries
@@ -445,8 +434,8 @@ def spectrum(
         )
     eigenvalues = np.sort(np.concatenate(pooled))
     counts, bin_edges = np.histogram(eigenvalues, bins=bins)
-    width = window_scale / np.sqrt(len(eigenvalues))
-    atoms = atom_scan(eigenvalues, window_scale=window_scale)
+    width = ATOM_WINDOW_SCALE / np.sqrt(len(eigenvalues))
+    atoms = atom_scan(eigenvalues)
     return SpectralReport(
         eigenvalues=eigenvalues,
         bin_edges=bin_edges,

@@ -13,6 +13,7 @@ without that matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .conjugate import words_up_to
 from .derivations import d
@@ -94,50 +95,33 @@ def gram_matrix(
     return matrix
 
 
-def nullspace(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Exact null-space basis of a Hermitian positive semidefinite matrix.
+def ldl(matrix: list[list[Scalar]]) -> Iterator[tuple[int, Scalar, dict]]:
+    """LDL* factorization of a Hermitian matrix, column by column.
 
-    Only the upper triangle is read.  The columns are eliminated in order
-    on the diagonal of the current Schur complement (an LDL* factorization
-    without pivot search): in a PSD matrix a zero diagonal entry forces a
-    zero row, so that column is free and nothing has to be swapped.  The
-    rows are kept sparse, so fill-in never leaves a connected component of
-    the nonzero pattern.
-
-    The basis is the reduced-row-echelon one: for each free column f in
-    increasing order, the null vector with 1 at f and 0 at every other free
-    column.  It depends on the matrix alone, not on the elimination order.
-
-    Raises NonPositiveMoments when a pivot is not a positive real or a zero
-    pivot has a nonzero entry left in its row, since the matrix is then not
-    PSD and an empty basis would be a false certificate.
+    Only the upper triangle is read, and the columns are eliminated in order
+    on the diagonal of the current Schur complement S, without pivot search.
+    Per column k this yields k, the pivot S[k][k] and the factor's row
+    {j: S[k][j] / S[k][k]} over the nonzero entries j > k (the raw row for a
+    zero pivot).  Column k is eliminated only when the next one is asked
+    for, so the caller judges each pivot first.  The generator ends at a zero
+    pivot with a nonzero row, which no elimination without a swap can pass.
+    The rows are kept sparse, so fill-in never leaves a connected component
+    of the nonzero pattern.
     """
-    size = len(matrix)
     # rows[i] holds the nonzero entries j >= i of the current Schur complement
     rows: list[dict[int, Scalar]] = [
         {j: entry for j, entry in enumerate(row[i:], i) if entry}
         for i, row in enumerate(matrix)
     ]
-    # for each pivot column k: row k of the factor, divided by its pivot
-    factors: dict[int, dict[int, Scalar]] = {}
-    free: list[int] = []
     for k, row in enumerate(rows):
         pivot = row.pop(k, ZERO)
         if not pivot:
+            yield k, pivot, row
             if row:
-                raise NonPositiveMoments(
-                    f"zero pivot at column {k} with a nonzero entry in its row: "
-                    "the matrix is not positive semidefinite"
-                )
-            free.append(k)
+                return
             continue
-        if pivot.im != 0 or pivot.re < 0:
-            raise NonPositiveMoments(
-                f"pivot {pivot} at column {k} is not a positive real: "
-                "the matrix is not positive semidefinite"
-            )
         factor = {j: entry / pivot for j, entry in row.items()}
-        factors[k] = factor
+        yield k, pivot, factor
         # S[i][j] -= conj(S[k][i]) S[k][j] / pivot for k < i <= j
         for i, scaled in factor.items():
             target = rows[i]
@@ -150,6 +134,40 @@ def nullspace(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
                     target[j] = value
                 else:
                     target.pop(j, None)
+
+
+def nullspace(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
+    """Exact null-space basis of a Hermitian positive semidefinite matrix.
+
+    In a PSD matrix a zero pivot of `ldl` forces a zero row, so that column
+    is free and nothing has to be swapped.  The basis is the
+    reduced-row-echelon one: for each free column f in increasing order, the
+    null vector with 1 at f and 0 at every other free column.  It depends on
+    the matrix alone, not on the elimination order.
+
+    Raises NonPositiveMoments when a pivot is not a positive real or a zero
+    pivot has a nonzero entry left in its row, since the matrix is then not
+    PSD and an empty basis would be a false certificate.
+    """
+    size = len(matrix)
+    # for each pivot column k: row k of the factor, divided by its pivot
+    factors: dict[int, dict[int, Scalar]] = {}
+    free: list[int] = []
+    for k, pivot, row in ldl(matrix):
+        if not pivot:
+            if row:
+                raise NonPositiveMoments(
+                    f"zero pivot at column {k} with a nonzero entry in its row: "
+                    "the matrix is not positive semidefinite"
+                )
+            free.append(k)
+        elif pivot.im != 0 or pivot.re < 0:
+            raise NonPositiveMoments(
+                f"pivot {pivot} at column {k} is not a positive real: "
+                "the matrix is not positive semidefinite"
+            )
+        else:
+            factors[k] = row
     basis = []
     for f in free:
         # back-substitute over the pivot columns before f
@@ -175,9 +193,9 @@ def free_family_certified(trace: TraceFunctional, degree: int) -> bool:
     alternating products of centred one-letter spaces (Voiculescu, Dykema
     and Nica 1992).  So the Gram matrix of the words of length <= degree is
     congruent to a diagonal of products of the letters' orthogonal-polynomial
-    norms h_0..h_degree, and it is positive definite iff every letter's
-    Hankel matrix [m_(a+b)], a, b <= degree, is.  Only the letters' own
-    moments m_0..m_(2 degree) are read.
+    norms h_0..h_degree, the pivots of the `ldl` of each letter's Hankel
+    matrix [m_(a+b)], a, b <= degree: it is positive definite iff they are
+    positive reals.  Only the letters' own moments m_0..m_(2 degree) are read.
 
     False for an explicit table, for a degree whose words reach past a depth
     limit, and for a singular or indefinite Hankel matrix: those cases are
@@ -190,11 +208,9 @@ def free_family_certified(trace: TraceFunctional, degree: int) -> bool:
     for letter in range(1, trace.spec.n + 1):
         moments = [trace.moment((letter,) * k) for k in range(2 * degree + 1)]
         hankel = [moments[a : a + degree + 1] for a in range(degree + 1)]
-        try:
-            if nullspace(hankel):
+        for _, pivot, _ in ldl(hankel):
+            if pivot.im != 0 or pivot.re <= 0:
                 return False
-        except NonPositiveMoments:
-            return False
     return True
 
 

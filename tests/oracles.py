@@ -193,6 +193,42 @@ def rref_nullspace_oracle(matrix):
     return basis
 
 
+def orthogonal_polynomial_oracle(moments):
+    """Norms h_j and recurrence coefficients a_j by Gram-Schmidt on monomials.
+
+    L(x^i) = moments[i] for i <= 2k, and <p, q> = L(p q) on coefficient lists
+    over Fraction.  pi_j = x^j - sum_(i<j) <x^j, pi_i> / h_i pi_i is the
+    monic orthogonal polynomial, h_j = <pi_j, pi_j> its norm and
+    a_j = <x pi_j, pi_j> / h_j its recurrence coefficient.  Returns h_0..h_k
+    and a_0..a_(k-1), cut where the orthogonal polynomials end: h after the
+    first h_j that is not positive, and a before it.
+    """
+    m = [Fraction(x) for x in moments]
+    k = (len(m) - 1) // 2
+
+    def inner(p, q):
+        return sum(
+            (c * e * m[i + j] for i, c in enumerate(p) for j, e in enumerate(q)),
+            Fraction(0),
+        )
+
+    basis, h, a = [], [], []
+    for j in range(k + 1):
+        monomial = [Fraction(0)] * j + [Fraction(1)]
+        pi = list(monomial)
+        for prev, norm in zip(basis, h):
+            c = inner(monomial, prev) / norm
+            pi = [x - c * y for x, y in itertools.zip_longest(pi, prev, fillvalue=0)]
+        norm = inner(pi, pi)
+        h.append(norm)
+        if norm <= 0:
+            break
+        if j < k:
+            a.append(inner([Fraction(0)] + pi, pi) / norm)
+        basis.append(pi)
+    return h, a
+
+
 def greedy_atom_scan_oracle(eigenvalues, window_scale, floor=None):
     """Atom candidates by one greedy pass over the windows, one at a time.
 

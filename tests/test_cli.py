@@ -244,6 +244,29 @@ def test_spectrum_rejects_non_self_adjoint(semicircular_spec, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["rademacher", "gue"])
+@pytest.mark.parametrize("poly", ["1 * Z 1", "1 * Z 2"])
+def test_spectrum_needs_one_matrix_per_generator(tmp_path, capsys, kind, poly):
+    # a trace over two letters, an ensemble of one matrix: the all-diagonal
+    # path must reject it as the dense path does, for either letter
+    path = tmp_path / "one-matrix.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "trace": {"variant": "semicircular", "variances": ["1", "1"]},
+                "ensemble": {
+                    "n": 1, "dim": 4, "samples": 1, "matrices": [{"kind": kind}]
+                },
+            }
+        )
+    )
+    assert main(["spectrum", "--spec", str(path), "--poly", poly]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected 2 matrices, got 1\n"
+
+
 # -- margins ---------------------------------------------------------------------
 
 
@@ -374,6 +397,40 @@ def test_combined_report(semicircular_spec, capsys):
     assert result["fisher_information"]["value"] == 2.0
 
 
+def test_report_caps_the_kernel_degree_by_the_table(bernoulli_cli_spec, capsys):
+    # the table stops at words of length 4, so relations stop at degree 2,
+    # whatever the (larger) default degree bound
+    code = main(
+        ["report", "--spec", bernoulli_cli_spec, "--xi", "1 * Z 1", "--degree", "3"]
+    )
+    document, err = read_result(capsys)
+    assert code == 1
+    assert err == ""
+    assert document["result"]["relations"] == {
+        "degree": 2, "kernel_dimension": 1, "kernel": ["-1 * Z + 1 * Z 1 1"]
+    }
+
+
+def test_report_caps_the_kernel_degree_by_the_moment_depth(tmp_path, capsys):
+    catalan = ["1", "2", "5", "14", "42", "132", "429", "1430"]
+    path = tmp_path / "free-poisson-8.json"
+    path.write_text(
+        json.dumps(
+            {"n": 2, "trace": {"variant": "free", "moments": [catalan, catalan]}}
+        )
+    )
+    code = main(
+        ["report", "--spec", str(path), "--xi", "1 * Z 1;1 * Z 2", "--degree", "5"]
+    )
+    document, err = read_result(capsys)
+    # Z_j is not the conjugate variable of a free Poisson letter
+    assert code == 1
+    assert err == ""
+    assert document["result"]["relations"] == {
+        "degree": 4, "kernel_dimension": 0, "kernel": []
+    }
+
+
 def test_output_file(semicircular_spec, tmp_path):
     out = tmp_path / "report.json"
     code = main(
@@ -396,19 +453,24 @@ def test_output_file(semicircular_spec, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["verify-conjugate", "--xi", "1 * Z 1;1 * Z 2", "--degree", "-3"],
-        ["duality", "--trials", "-5"],
-        ["margins", "--xi", "1 * Z 1;1 * Z 2", "--trials", "-1"],
+        (["verify-conjugate", "--xi", "1 * Z 1;1 * Z 2", "--degree", "-3"],
+         "--degree must be non-negative"),
+        (["duality", "--trials", "-5"], "--trials must be non-negative"),
+        (["margins", "--xi", "1 * Z 1;1 * Z 2", "--trials", "-1"],
+         "--trials must be non-negative"),
+        # every duality trial draws a second word of at least one letter
+        (["duality", "--degree", "0"], "--degree must be at least 1 for duality"),
     ],
+    ids=["argv0", "argv1", "argv2", "argv3"],
 )
-def test_negative_counts_are_usage_errors(semicircular_spec, capsys, argv):
+def test_negative_counts_are_usage_errors(semicircular_spec, capsys, argv, message):
     assert main(argv[:1] + ["--spec", semicircular_spec] + argv[1:]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
-    assert "must be non-negative" in captured.err
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("fmt", ["structured", "csv"])

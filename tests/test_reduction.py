@@ -13,15 +13,16 @@ from ncfree.reduction import (
     free_family_certified,
     gram_kernel,
     gram_matrix,
+    ldl,
     nullspace,
     relation_kernel,
 )
-from ncfree.scalars import Scalar
+from ncfree.scalars import ZERO, Scalar
 from ncfree.sweeps import rand_nonzero_poly, rand_self_adjoint, rand_word
 from ncfree.trace import ExplicitMoments, FreeFamily, SemicircularFamily
 
 from conftest import bernoulli_spec, gens
-from oracles import rref_nullspace_oracle
+from oracles import orthogonal_polynomial_oracle, rref_nullspace_oracle
 
 
 # -- delta ----------------------------------------------------------------------
@@ -214,6 +215,74 @@ def test_nullspace_rejects_non_psd_matrices():
     # a non-real pivot
     with pytest.raises(NonPositiveMoments):
         nullspace([[Scalar(1, 1)]])
+
+
+def rand_measure_moments(rng, atoms, count):
+    """m_0..m_(count-1) of a random measure on `atoms` rational points."""
+    nodes = rng.sample([Fraction(x, 3) for x in range(-9, 10)], atoms)
+    weights = [Fraction(rng.randint(1, 5)) for _ in nodes]
+    total = sum(weights)
+    return [
+        sum(w / total * x**i for x, w in zip(nodes, weights)) for i in range(count)
+    ]
+
+
+def pivots_until_not_positive(moments):
+    """The pivots and factor rows of the Hankel ldl, up to the first bad pivot."""
+    k = (len(moments) - 1) // 2
+    hankel = [[Scalar(m) for m in moments[i : i + k + 1]] for i in range(k + 1)]
+    pivots, rows = [], []
+    for j, pivot, row in ldl(hankel):
+        assert j == len(pivots)
+        assert pivot.im == 0
+        pivots.append(pivot.re)
+        rows.append(row)
+        if pivot.re <= 0:
+            break
+    return pivots, rows
+
+
+def assert_ldl_matches_gram_schmidt(moments):
+    pivots, rows = pivots_until_not_positive(moments)
+    h, a = orthogonal_polynomial_oracle(moments)
+    assert pivots == h
+    for j, a_j in enumerate(a):
+        below = rows[j - 1].get(j, ZERO) if j else ZERO
+        assert rows[j].get(j + 1, ZERO) - below == a_j
+    return h
+
+
+def test_ldl_of_a_hankel_matrix_is_its_orthogonal_polynomials(rng):
+    # a measure on `atoms` points: h_j > 0 below the atom count, then h = 0
+    for _ in range(40):
+        k = rng.randint(1, 5)
+        atoms = rng.randint(1, 7)
+        h = assert_ldl_matches_gram_schmidt(rand_measure_moments(rng, atoms, 2 * k + 1))
+        assert len(h) == min(atoms, k) + 1
+        assert (h[-1] == 0) if atoms <= k else (h[-1] > 0)
+
+
+@pytest.mark.parametrize("excess", [0, Fraction(1, 7), 3])
+def test_ldl_stops_at_the_first_bad_hankel_pivot(rng, excess):
+    # lowering m_2j by h_j + excess lowers h_j alone: singular (excess 0) or
+    # indefinite at j, and every earlier pivot stays positive
+    for _ in range(30):
+        k = rng.randint(1, 5)
+        moments = rand_measure_moments(rng, 7, 2 * k + 1)
+        j = rng.randint(1, k)
+        h, _ = orthogonal_polynomial_oracle(moments)
+        moments[2 * j] -= h[j] + excess
+        h = assert_ldl_matches_gram_schmidt(moments)
+        assert len(h) == j + 1
+        assert h[j] == -excess
+
+
+def test_ldl_after_a_perturbed_odd_moment(rng):
+    for _ in range(30):
+        k = rng.randint(1, 5)
+        moments = rand_measure_moments(rng, rng.randint(1, 7), 2 * k + 1)
+        moments[2 * rng.randint(1, k) - 1] += Fraction(rng.randint(-9, 9), 4)
+        assert_ldl_matches_gram_schmidt(moments)
 
 
 # -- relation detection ----------------------------------------------------------------
