@@ -140,6 +140,8 @@ def candidate_from(args, data: dict, spec: DistributionSpec) -> ConjugateCandida
 
 def relations_block(trace: TraceFunctional, degree: int) -> dict:
     """The relation kernel up to `degree` as a result block."""
+    # the Gram matrix reads words up to 2 degree long, shortest first
+    trace.check_length(min(2 * degree, trace.max_word_length + 1))
     kernel = relation_kernel(trace, degree)
     return {
         "degree": degree,
@@ -221,6 +223,8 @@ def cmd_duality(args, data: dict) -> int:
     if args.degree < 1:
         # the second word of every trial has at least one letter
         raise ConfigError(f"--degree must be at least 1 for duality, got {args.degree}")
+    # a trial reads tau(x y[:k]) with |x| <= degree and |y[:k]| < degree
+    trace.check_length(min(2 * args.degree - 1, trace.max_word_length + 1))
     rng = random.Random(args.seed)
     failures = []
     for _ in range(args.trials):

@@ -11,12 +11,11 @@ with xi_j = sum_u c_u u, the relation is an identity between moments,
 
     sum over p with w[p] = j of tau(w[:p]) tau(w[p+1:]) = sum_u c_u tau(u w),
 
-so each side is a sum of moment lookups.  Most of those moments are zero
-on a symmetric family (every odd word of a semicircular one), so a term is
-multiplied and added only when its factors are nonzero, and the second
-factor of a split is looked up only when the first is nonzero.  The
-moments are read straight from the trace's memo; a miss goes through
-TraceFunctional.moment, which computes the word or raises.
+so each side is a sum of moment lookups.  A word with an odd count of a
+symmetric letter (TraceFunctional.symmetric_letters) has moment 0, so a
+relation whose sides are 0 by that parity is skipped, and a term is added
+only when its factors are nonzero.  The moments are read straight from the
+trace's memo; a miss goes through TraceFunctional.moment.
 
 The relations have a reversal symmetry.  The generators are self-adjoint,
 so the adjoint w* of a word is its reversal, and a free family has
@@ -40,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .derivations import d, d_leg_sum
+from .derivations import check_index, d, d_leg_sum
 from .errors import ConjugateCheckFailed, DegreeBoundExceeded
 from .ncpoly import NcPoly, Word
 from .scalars import ZERO, Scalar
@@ -107,17 +106,34 @@ class ConjugateCandidate:
 def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport:
     """Compare both sides of the conjugate relations on all words up to `degree`."""
     trace = cand.trace
-    max_xi_deg = max(
-        (int(p.total_degree()) for p in cand.xi if not p.is_zero()), default=0
-    )
+    xi_degrees = [int(p.total_degree()) for p in cand.xi if not p.is_zero()]
+    max_xi_deg = max(xi_degrees, default=0)
     if degree + max_xi_deg > trace.degree_bound:
         raise DegreeBoundExceeded(
             f"degree {degree} plus candidate degree {max_xi_deg} exceeds the "
             f"trace bound {trace.degree_bound}"
         )
+    longest = degree + max_xi_deg if xi_degrees else degree - 1
+    trace.check_length(min(longest, trace.max_word_length + 1))
     moment = trace.moment
     cached = trace._memo.get
-    xi_terms = [tuple(p.terms.items()) for p in cand.xi]
+    # bit s of mask(v) is the parity of the count of symmetric letter s in v,
+    # and tau(v) = 0 unless mask(v) = 0: tau(u w) needs mask(u) = mask(w), and a
+    # split of w around Z_j needs mask(w) = bit j and then a head of mask 0
+    bits = [0] * (cand.spec.n + 1)
+    for letter in trace.symmetric_letters:
+        bits[letter] = 1 << letter
+
+    def mask(word: Word) -> int:
+        total = 0
+        for letter in word:
+            total ^= bits[letter]
+        return total
+
+    xi_by_mask: list[dict[int, list]] = [{} for _ in cand.xi]
+    for by_mask, p in zip(xi_by_mask, cand.xi):
+        for u, coeff in p.terms.items():
+            by_mask.setdefault(mask(u), []).append((u, coeff))
     mirror = not isinstance(cand.spec.variant, ExplicitMoments) and all(
         cand.self_adjointness()
     )
@@ -126,27 +142,28 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
         reverse = word[::-1]
         if mirror and reverse < word:
             continue  # added with the failures of its reversal
-        for j, terms in enumerate(xi_terms, start=1):
+        word_mask = mask(word)
+        for j, by_mask in enumerate(xi_by_mask, start=1):
+            terms = by_mask.get(word_mask, ())
+            split = word_mask == bits[j]
+            if not (split or terms):
+                continue  # 0 = 0
             lhs = ZERO
-            for pos, letter in enumerate(word):
-                if letter == j:
+            head_mask = 0
+            for pos, letter in enumerate(word if split else ()):
+                if letter == j and not head_mask:
                     head = word[:pos]
-                    left = cached(head)
-                    if left is None:
-                        left = moment(head)
+                    left = cached(head) or moment(head)
                     if left:
                         tail = word[pos + 1:]
-                        right = cached(tail)
-                        if right is None:
-                            right = moment(tail)
+                        right = cached(tail) or moment(tail)
                         if right:
                             lhs = lhs + left * right
+                head_mask ^= bits[letter]
             rhs = ZERO
             for u, coeff in terms:
                 uw = u + word
-                value = cached(uw)
-                if value is None:
-                    value = moment(uw)
+                value = cached(uw) or moment(uw)
                 if value:
                     rhs = rhs + coeff * value
             if lhs != rhs:
@@ -186,13 +203,29 @@ def check_adjoint(
 def check_duality(
     trace: TraceFunctional, p1: NcPoly, p2: NcPoly, i: int
 ) -> bool:
-    """((tau (x) id)(P1 d_i P2))* = (id (x) tau)((d_i P2*) P1*), exactly."""
-    dp2 = d(i, p2)
-    lhs = trace.partial_trace(dp2.bimodule_mul(p1, NcPoly.one(p1.n)), "left").star()
-    rhs = trace.partial_trace(
-        d(i, p2.star()).bimodule_mul(NcPoly.one(p1.n), p1.star()), "right"
-    )
-    return lhs == rhs
+    """((tau (x) id)(P1 d_i P2))* = (id (x) tau)((d_i P2*) P1*), exactly.
+
+    A moment identity: for P1 = sum a x, P2 = sum b y and each y[k] = i, with
+    v = x y[:k], the left side has conj(a b tau(v)) and the right side
+    conj(a b) tau(v*) at the word rev(y[k+1:]).  tau(v) and tau(v*) are
+    looked up apart, so a functional with tau(v*) != conj tau(v) fails.
+    """
+    check_index(i, p2.n)
+    p2._check_compatible(p1)
+    terms = [
+        ((a * b).conjugate(), x + y[:k], y[k + 1:][::-1])
+        for x, a in p1.terms.items()
+        for y, b in p2.terms.items()
+        for k, letter in enumerate(y)
+        if letter == i
+    ]
+    conj_taus = [trace.moment(v).conjugate() for _, v, _ in terms]
+    stars = [trace.moment(v[::-1]) for _, v, _ in reversed(terms)][::-1]
+    difference: dict[Word, Scalar] = {}
+    for (coeff, _, key), tau, star in zip(terms, conj_taus, stars):
+        if tau != star:
+            difference[key] = difference.get(key, ZERO) + coeff * (tau - star)
+    return not any(difference.values())
 
 
 @dataclass(frozen=True)

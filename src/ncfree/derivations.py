@@ -15,14 +15,14 @@ from .scalars import Scalar
 from .tensor import TensorPoly2, TensorPoly3
 
 
-def _check_index(j: int, n: int) -> None:
+def check_index(j: int, n: int) -> None:
     if not 1 <= j <= n:
         raise IndexOutOfRange(f"derivative index {j} outside 1..{n}")
 
 
 def d(j: int, p: NcPoly) -> TensorPoly2:
     """The free difference quotient with respect to Z_j."""
-    _check_index(j, p.n)
+    check_index(j, p.n)
     terms: dict[tuple[Word, Word], Scalar] = {}
     for word, coeff in p.terms.items():
         for pos, letter in enumerate(word):
@@ -36,7 +36,7 @@ def d(j: int, p: NcPoly) -> TensorPoly2:
 
 def d_leg_sum(j: int, s: TensorPoly2) -> TensorPoly3:
     """(d_j (x) id + id (x) d_j) applied to a tensor-square element."""
-    _check_index(j, s.n)
+    check_index(j, s.n)
     terms: dict[tuple[Word, Word, Word], Scalar] = {}
 
     def _accumulate(key: tuple[Word, Word, Word], coeff: Scalar) -> None:

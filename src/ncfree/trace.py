@@ -29,6 +29,7 @@ and the inversion into cumulants never use the rule.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -352,7 +353,7 @@ class TraceFunctional:
     The variant is resolved once, in __init__, so `moment` only compares the
     word length with the tightest limit and looks the word up.  A free
     family's memo starts with each letter's own moments, so the free
-    cumulants are inverted only when the first mixed word is missed.
+    cumulants are inverted only by a mixed-word miss or symmetric_letters.
     """
 
     def __init__(self, spec: DistributionSpec, degree_bound: int = DEFAULT_DEGREE_BOUND):
@@ -368,10 +369,6 @@ class TraceFunctional:
             self._limits.append((depth, "supplied moment depth"))
         #: the longest word `moment` evaluates without DegreeBoundExceeded
         self.max_word_length = min(limit for limit, _ in self._limits)
-        # per letter, built on the first memo miss of a free family, with
-        # the letters whose odd cumulants vanish
-        self._cumulants: list[list[Scalar]] | None = None
-        self._symmetric: tuple[int, ...] = ()
         # the memo holds only words `moment` accepts, so a hit can be read
         # straight from it (check_conjugate does)
         self._memo: dict[Word, Scalar] = {(): ONE}
@@ -384,9 +381,10 @@ class TraceFunctional:
                 for k, m_k in enumerate(seq[: self.max_word_length], start=1):
                     self._memo[(letter,) * k] = Scalar(m_k)
 
-    def _letter_cumulants(self) -> list[list[Scalar]]:
-        """Per letter, kappa_1..kappa_m cut after the last nonzero cumulant:
-        no block of that letter can be longer than m."""
+    @functools.cached_property
+    def _cumulants(self) -> list[list[Scalar]]:
+        """Per letter of a free family, kappa_1..kappa_m cut after the last
+        nonzero cumulant: no block of that letter can be longer than m."""
         variant = self.spec.variant
         if isinstance(variant, SemicircularFamily):
             kappas = [[0, v] for v in variant.variances]
@@ -400,29 +398,34 @@ class TraceFunctional:
             cumulants.append(kappa)
         return cumulants
 
+    @functools.cached_property
+    def symmetric_letters(self) -> tuple[int, ...]:
+        """The letters whose odd free cumulants all vanish, () for a table: a
+        word with an odd count of one has moment 0."""
+        if isinstance(self.spec.variant, ExplicitMoments):
+            return ()
+        kappas = enumerate(self._cumulants, start=1)
+        return tuple(letter for letter, kappa in kappas if not any(kappa[0::2]))
+
+    def check_length(self, length: int) -> None:
+        """Raise the DegreeBoundExceeded `moment` raises on a word of `length`.
+        A sweep that meets words shortest first fails at max_word_length + 1."""
+        for limit, name in self._limits:
+            if length > limit:
+                raise DegreeBoundExceeded(f"word length {length} exceeds {name} {limit}")
+
     # -- moments ---------------------------------------------------------
 
     def moment(self, word: Word) -> Scalar:
         """tau of a single word."""
         word = tuple(word)
         if len(word) > self.max_word_length:
-            for limit, name in self._limits:
-                if len(word) > limit:
-                    raise DegreeBoundExceeded(
-                        f"word length {len(word)} exceeds {name} {limit}"
-                    )
+            self.check_length(len(word))
         value = self._memo.get(word)
         if value is None:
-            if self._cumulants is None:
-                if isinstance(self.spec.variant, ExplicitMoments):
-                    raise UnknownMoment(f"no table entry for word {word}")
-                self._cumulants = self._letter_cumulants()
-                self._symmetric = tuple(
-                    letter
-                    for letter, kappa in enumerate(self._cumulants, start=1)
-                    if not any(kappa[0::2])
-                )
-            value = _nc_moment(word, self._cumulants, self._memo, self._symmetric)
+            if isinstance(self.spec.variant, ExplicitMoments):
+                raise UnknownMoment(f"no table entry for word {word}")
+            value = _nc_moment(word, self._cumulants, self._memo, self.symmetric_letters)
         return value
 
     # -- linear extensions --------------------------------------------------

@@ -2,7 +2,9 @@
 
 These deliberately share no code with the library's evaluation paths: the
 moment oracles enumerate ALL pairings / set partitions and filter crossings,
-instead of the library's block-of-the-first-element recursion.
+instead of the library's block-of-the-first-element recursion.  The one
+exception, duality_oracle, rebuilds the duality identity from the calculus'
+tensor objects, a path check_duality does not take.
 """
 
 from fractions import Fraction
@@ -10,6 +12,9 @@ import itertools
 from itertools import combinations
 
 import numpy as np
+
+from ncfree.derivations import d
+from ncfree.ncpoly import NcPoly
 
 
 def all_pairings(k):
@@ -136,6 +141,19 @@ def conjugate_failures_oracle(xi, n, degree, moment):
                 if lhs != rhs:
                     failures.append((j, word, lhs, rhs))
     return failures
+
+
+def duality_oracle(trace, p1, p2, i):
+    """The duality identity built as the composite of the calculus' objects:
+    ((tau (x) id)((P1 (x) 1) d_i P2))* == (id (x) tau)((d_i P2*)(1 (x) P1*)).
+
+    It goes through d, bimodule_mul, partial_trace and star, none of which
+    check_duality uses; `trace` supplies the moments to both.
+    """
+    one = NcPoly.one(p1.n)
+    lhs = trace.partial_trace(d(i, p2).bimodule_mul(p1, one), "left").star()
+    rhs = trace.partial_trace(d(i, p2.star()).bimodule_mul(one, p1.star()), "right")
+    return lhs == rhs
 
 
 def _c_sub(a, b):

@@ -2,6 +2,7 @@ import argparse
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -841,3 +842,74 @@ def test_in_process_calls_do_not_leak_state(tmp_path, capsys):
         if stdout is not None:
             assert stdout == fresh_stdout, argv
         assert payload == fresh_payload, argv
+
+
+# -- word length, checked once at the boundary ---------------------------------------
+
+BENCH_SPECS = Path(__file__).resolve().parent.parent / "perfbench" / "specs"
+CATALAN_TEXT = ["1", "2", "5", "14", "42", "132", "429", "1430"]
+
+
+def run_for_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err.strip()
+
+
+@pytest.mark.parametrize(
+    "spec, degree, message",
+    [
+        # 2^41 words would be listed before the first lookup
+        ("semicircular-2", 40, "word length 13 exceeds degree bound 12"),
+        ("semicircular-2", 7, "word length 13 exceeds degree bound 12"),
+        ("bernoulli", 3, "word length 5 exceeds explicit table degree 4"),
+        ("free-poisson-2", 5, "word length 9 exceeds degree bound 8"),
+    ],
+    ids=["semicircular-2-deg40", "semicircular-2-deg7", "bernoulli-deg3", "free-poisson-2-deg5"],
+)
+def test_relations_past_the_limit_fail_before_any_word(capsys, spec, degree, message):
+    argv = ["relations", "--spec", str(BENCH_SPECS / f"{spec}.json"), "--degree", str(degree)]
+    assert run_for_error(capsys, argv) == (2, f"error: {message}")
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_duality_past_the_table_fails_on_every_seed(capsys, seed):
+    argv = ["duality", "--spec", str(BENCH_SPECS / "bernoulli.json"), "--trials", "2",
+            "--degree", "3", "--seed", str(seed)]
+    expected = "error: word length 5 exceeds explicit table degree 4"
+    assert run_for_error(capsys, argv) == (2, expected)
+
+
+@pytest.mark.parametrize(
+    "moments, xi, degree, message",
+    [
+        # an explicit table of degree 4, as bernoulli_cli_spec
+        (None, "1 * Z 1", 4, "word length 5 exceeds explicit table degree 4"),
+        (None, "1 * Z 1", 6, "word length 5 exceeds explicit table degree 4"),
+        (None, "0", 6, "word length 5 exceeds explicit table degree 4"),
+        # a free family whose first letter has four moments
+        ([CATALAN_TEXT[:4], CATALAN_TEXT[:6]], "1 * Z 1;1 * Z 2", 4,
+         "word length 5 exceeds supplied moment depth 4"),
+        ([CATALAN_TEXT[:4], CATALAN_TEXT[:6]], "1 * Z 1;1 * Z 2", 7,
+         "word length 5 exceeds supplied moment depth 4"),
+        # a symmetric first letter: odd words are skipped, the error stays
+        ([["0", "1"] * 3, CATALAN_TEXT[:8]], "1 * Z 1;1 * Z 2", 6,
+         "word length 7 exceeds supplied moment depth 6"),
+        ([["0", "1"] * 3, CATALAN_TEXT[:8]], "1 * Z 1 + 1 * Z 1 2;1 * Z 2", 5,
+         "word length 7 exceeds supplied moment depth 6"),
+        ([["0", "1"] * 3, CATALAN_TEXT[:8]], "0;0", 8,
+         "word length 7 exceeds supplied moment depth 6"),
+    ],
+    ids=["table-deg4", "table-deg6", "table-zero-xi", "short-depth-deg4", "short-depth-deg7",
+         "symmetric-deg6", "symmetric-mixed-parity-deg5", "symmetric-zero-xi"],
+)
+def test_verify_conjugate_past_the_limit_keeps_its_message(
+    bernoulli_cli_spec, tmp_path, capsys, moments, xi, degree, message
+):
+    spec = bernoulli_cli_spec
+    if moments is not None:
+        spec = tmp_path / "free.json"
+        spec.write_text(json.dumps({"n": 2, "trace": {"variant": "free", "moments": moments}}))
+    argv = ["verify-conjugate", "--spec", str(spec), "--xi", xi, "--degree", str(degree)]
+    assert run_for_error(capsys, argv) == (2, f"error: {message}")

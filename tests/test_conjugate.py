@@ -23,7 +23,13 @@ from ncfree.conjugate import (
     words_up_to,
 )
 from ncfree.derivations import d
-from ncfree.errors import ConjugateCheckFailed, DegreeBoundExceeded, UnknownMoment
+from ncfree.errors import (
+    ConjugateCheckFailed,
+    DegreeBoundExceeded,
+    GeneratorCountMismatch,
+    IndexOutOfRange,
+    UnknownMoment,
+)
 from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_poly, rand_word
 from ncfree.trace import ExplicitMoments, FreeFamily, SemicircularFamily
@@ -31,6 +37,7 @@ from ncfree.trace import ExplicitMoments, FreeFamily, SemicircularFamily
 from conftest import bernoulli_spec, gens
 from oracles import (
     conjugate_failures_oracle,
+    duality_oracle,
     free_moment_oracle,
     semicircular_moment_oracle,
 )
@@ -90,6 +97,9 @@ def test_degree_bound_guard():
 
 
 CATALAN = (1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
+#: a symmetric Bernoulli letter: its odd moments and odd free cumulants vanish
+BERNOULLI_MOMENTS = (0, 1) * 5
+BERNOULLI_CUMULANTS = (0, 1, 0, -1, 0, 2, 0, -5, 0, 14)
 
 
 def _oracle_cases():
@@ -111,6 +121,12 @@ def _oracle_cases():
 
     def bernoulli_moment(w):
         return Fraction(1 - len(w) % 2)
+
+    # letter 1 is symmetric, letter 2 is not
+    mixed = DistributionSpec(2, FreeFamily((BERNOULLI_MOMENTS, CATALAN)))
+
+    def mixed_moment(w):
+        return free_moment_oracle(w, [BERNOULLI_CUMULANTS, [1] * 8])
 
     (z,) = gens(1)
     z1, z2 = gens(2)
@@ -137,6 +153,19 @@ def _oracle_cases():
         # an explicit table: every moment is a table lookup, misses raise
         ("bernoulli-table", bernoulli_spec(6), [Scalar(1, 1) * z - z * z * z], 3,
          bernoulli_moment),
+        # terms of both parities in the symmetric letters: the relations
+        # that parity makes 0 = 0 are skipped, the others must still fail
+        ("semicircular-2-mixed-parity", semicircular_2,
+         [z1 + z1 * z2 + Fraction(1, 2) * (z2 * z1 * z2), z2 + Scalar(0, 1) * (z1 * z2)], 5,
+         semicircular_2_moment),
+        ("semicircular-3-mixed-parity", semicircular_3,
+         [y1 + y2 * y3, 2 * y2 + y1 * y2 * y1, Fraction(1, 2) * y3 + y3 * y3 - 1], 4,
+         semicircular_3_moment),
+        ("bernoulli-and-free-poisson-mixed-parity", mixed,
+         [z1 + z1 * z2 + Fraction(1, 2) * (z2 * z1 * z2), z2 - 1 + z1 * z1], 3,
+         mixed_moment),
+        ("bernoulli-table-mixed-parity", bernoulli_spec(6),
+         [z + z * z + Fraction(1, 2) * (z * z * z)], 3, bernoulli_moment),
     ]
 
 
@@ -153,6 +182,15 @@ def test_conjugate_failures_match_the_oracle(case):
         (j, word, (lhs.re, lhs.im), (rhs.re, rhs.im))
         for j, word, lhs, rhs in failures
     ] == expected
+
+
+def test_parity_pruning_leaves_odd_words_out_of_the_memo():
+    z1, z2 = gens(2)
+    cand = ConjugateCandidate([2 * z1, z2], DistributionSpec.standard_semicircular(2))
+    report = check_conjugate(cand, degree=8)
+    assert len(report.failures) == 49
+    # a sweep that looks up every odd word as well leaves 649 words
+    assert len(cand.trace._memo) == 131
 
 
 def test_zero_sides_are_reported():
@@ -291,6 +329,77 @@ def test_duality_random_polynomials(rng, trace2):
         p1 = rand_poly(rng, 2, 3)
         p2 = rand_poly(rng, 2, 3)
         assert check_duality(trace2, p1, p2, 1)
+
+
+@functools.cache
+def _duality_specs():
+    """Four families with moments of words up to 7 letters, the longest
+    tau(x y[:k]) of two polynomials of degree 4."""
+    poisson = TraceFunctional(DistributionSpec(2, FreeFamily((CATALAN, CATALAN))))
+    table = {w: poisson.moment(w) for w in words_up_to(2, 7)}
+    return {
+        "semicircular-2": DistributionSpec.standard_semicircular(2),
+        "semicircular-3": DistributionSpec(3, SemicircularFamily((1, Fraction(1, 2), 2))),
+        "bernoulli-and-free-poisson": DistributionSpec(
+            2, FreeFamily((BERNOULLI_MOMENTS, CATALAN))
+        ),
+        "explicit-table": DistributionSpec(2, ExplicitMoments(table, 7)),
+    }
+
+
+DUALITY_FAMILIES = ["semicircular-2", "semicircular-3", "bernoulli-and-free-poisson",
+                    "explicit-table"]
+
+
+def _duality_verdicts(rng, trace, count=40):
+    n = trace.spec.n
+    for _ in range(count):
+        p1, p2 = rand_poly(rng, n, 4), rand_poly(rng, n, 4)
+        i = rng.randint(1, n)
+        yield check_duality(trace, p1, p2, i), duality_oracle(trace, p1, p2, i)
+
+
+@pytest.mark.parametrize("family", DUALITY_FAMILIES)
+def test_duality_matches_the_composite_oracle(rng, family):
+    trace = TraceFunctional(_duality_specs()[family])
+    for verdict, expected in _duality_verdicts(rng, trace):
+        assert verdict == expected
+
+
+@pytest.mark.parametrize("family", DUALITY_FAMILIES)
+def test_duality_rejects_a_functional_without_the_star(rng, family):
+    trace = TraceFunctional(_duality_specs()[family])
+    v = (1, 1, 2, 2)
+    # tau(v) + i is not real; tau(v*) = tau(2 2 1 1) reads the old value (a
+    # table) or this one (the rotation key of a free family): never its conjugate
+    trace._memo[v] = trace.moment(v) + Scalar(0, 1)
+    z1, z2 = gens(trace.spec.n)[:2]
+    # d_1 of Z2 Z2 Z1 splits at k = 2, so the sweep reads v = (1 1) (2 2)
+    assert not check_duality(trace, z1 * z1, z2 * z2 * z1, 1)
+    assert not duality_oracle(trace, z1 * z1, z2 * z2 * z1, 1)
+    verdicts = list(_duality_verdicts(rng, trace, count=80))
+    assert all(verdict == expected for verdict, expected in verdicts)
+    assert not all(verdict for verdict, _ in verdicts)
+
+
+def test_duality_raises_what_the_oracle_raises():
+    trace = TraceFunctional(DistributionSpec.standard_semicircular(2), degree_bound=4)
+    z1, z2 = gens(2)
+    cases = [
+        (z1, z1 * z2, 3, IndexOutOfRange),
+        (z1, z1 * z2, 0, IndexOutOfRange),
+        (NcPoly.gen(3, 1), z1 * z2, 1, GeneratorCountMismatch),
+        (z1 * z2, NcPoly.gen(3, 1), 1, GeneratorCountMismatch),
+        # v = (1 1 2) + (2 1 2) has 6 letters
+        (z1 * z1 * z2, z2 * z1 * z2 * z1 * z1, 1, DegreeBoundExceeded),
+    ]
+    for p1, p2, i, error in cases:
+        raised = []
+        for check in (check_duality, duality_oracle):
+            with pytest.raises(error) as info:
+                check(trace, p1, p2, i)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
 
 
 # -- norm margins --------------------------------------------------------------------
