@@ -14,11 +14,12 @@ from .trace import (
 )
 from .conjugate import (
     ConjugateCandidate,
+    MarginsReport,
     VerificationReport,
     check_adjoint,
     check_conjugate,
     check_duality,
-    norm_estimate_margins,
+    norm_margins,
     dstar,
     fisher,
 )
@@ -34,7 +35,6 @@ from .randmat import (
     DiagonalFromMoments,
     DiagonalRademacher,
     EnsembleConfig,
-    MarginsReport,
     SpectralReport,
     empirical_margins,
     empirical_trace,
@@ -64,7 +64,7 @@ __all__ = [
     "check_conjugate",
     "check_adjoint",
     "check_duality",
-    "norm_estimate_margins",
+    "norm_margins",
     "dstar",
     "fisher",
     "ProjectionSurrogate",

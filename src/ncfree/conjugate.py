@@ -40,14 +40,13 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .derivations import check_index, d, d_leg_sum
-from .errors import ConjugateCheckFailed, DegreeBoundExceeded
+from .errors import ConjugateCheckFailed
 from .ncpoly import NcPoly, Word
 from .scalars import ZERO, Scalar
 from .tensor import TensorPoly2
 from .trace import (
     DEFAULT_DEGREE_BOUND,
     DistributionSpec,
-    ExplicitMoments,
     TraceFunctional,
 )
 
@@ -107,13 +106,8 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
     """Compare both sides of the conjugate relations on all words up to `degree`."""
     trace = cand.trace
     xi_degrees = [int(p.total_degree()) for p in cand.xi if not p.is_zero()]
-    max_xi_deg = max(xi_degrees, default=0)
-    if degree + max_xi_deg > trace.degree_bound:
-        raise DegreeBoundExceeded(
-            f"degree {degree} plus candidate degree {max_xi_deg} exceeds the "
-            f"trace bound {trace.degree_bound}"
-        )
-    longest = degree + max_xi_deg if xi_degrees else degree - 1
+    # the sweep's longest word: u w on the right, or a split's head or tail
+    longest = degree + max(xi_degrees) if xi_degrees else degree - 1
     trace.check_length(min(longest, trace.max_word_length + 1))
     moment = trace.moment
     cached = trace._memo.get
@@ -134,9 +128,7 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
     for by_mask, p in zip(xi_by_mask, cand.xi):
         for u, coeff in p.terms.items():
             by_mask.setdefault(mask(u), []).append((u, coeff))
-    mirror = not isinstance(cand.spec.variant, ExplicitMoments) and all(
-        cand.self_adjointness()
-    )
+    mirror = trace.free and all(cand.self_adjointness())
     failures = []
     for word in words_up_to(cand.spec.n, degree):
         reverse = word[::-1]
@@ -229,37 +221,97 @@ def check_duality(
 
 
 @dataclass(frozen=True)
-class NormEstimateMargins:
-    """Norm data for the two estimates on dstar closed forms.
+class MarginsReport:
+    """Signed margins (bound minus left side) for the norm inequalities.
 
-    lhs1 = ||P xi_j - (id (x) tau)(d_j P)||_2 (bounded by rhs),
-    lhs2 = ||(id (x) tau)(d_j P)||_2 (bounded by 2 rhs).
-    The bound value uses a power-trace lower estimate for ||P||, so a
-    violation here is a flag for closer inspection, not a refutation.
+    Left sides are exact symbolic L2 norms; only the operator norms on the
+    right are estimates, which isolates their error in one factor.
     """
 
-    lhs1: float
-    lhs2: float
-    rhs: float
+    xi_l2: float
+    p_opnorm: float
+    margin_adjoint_left: float
+    margin_adjoint_right: float
+    margin_partial_left: float
+    margin_partial_right: float
+    q_opnorm: float | None = None
+    margin_dstar_tensor: float | None = None
+    margin_twisted_partial: float | None = None
 
-    @property
-    def margin1(self) -> float:
-        return self.rhs - self.lhs1
+    def all_margins(self) -> list[float]:
+        values = [
+            self.margin_adjoint_left,
+            self.margin_adjoint_right,
+            self.margin_partial_left,
+            self.margin_partial_right,
+        ]
+        if self.margin_dstar_tensor is not None:
+            values.append(self.margin_dstar_tensor)
+        if self.margin_twisted_partial is not None:
+            values.append(self.margin_twisted_partial)
+        return values
 
-    @property
-    def margin2(self) -> float:
-        return 2 * self.rhs - self.lhs2
+    def to_dict(self) -> dict:
+        return {
+            "xi_l2": self.xi_l2,
+            "p_opnorm": self.p_opnorm,
+            "q_opnorm": self.q_opnorm,
+            "margins": {
+                "adjoint_left": self.margin_adjoint_left,
+                "adjoint_right": self.margin_adjoint_right,
+                "partial_left": self.margin_partial_left,
+                "partial_right": self.margin_partial_right,
+                "dstar_tensor": self.margin_dstar_tensor,
+                "twisted_partial": self.margin_twisted_partial,
+            },
+        }
 
 
-def norm_estimate_margins(
-    cand: ConjugateCandidate, j: int, p: NcPoly, k: int
-) -> NormEstimateMargins:
+def norm_margins(
+    cand: ConjugateCandidate,
+    j: int,
+    p: NcPoly,
+    p_opnorm: float,
+    q: NcPoly | None = None,
+    q_opnorm: float | None = None,
+) -> MarginsReport:
+    """The norm estimates on dstar at the given operator norms of p and q.
+
+    Covers ||dstar(P (x) 1)||_2 <= ||xi|| ||P|| and its mirror, the factor-2
+    partial-trace bounds, and optionally (given q and q_opnorm) the factor-3
+    bound for dstar on P (x) q and the factor-4 bound for the twisted partial
+    trace.  ||P|| may be the lower estimate `opnorm_lower` or one measured on
+    matrices, so a negative margin flags closer inspection, not a refutation.
+    """
     trace = cand.trace
-    xi_norm = trace.norm2(cand.xi[j - 1])
-    lhs1 = trace.norm2(dstar_left(cand, j, p))
-    lhs2 = trace.norm2(trace.partial_trace(d(j, p), "right"))
-    rhs = xi_norm * trace.opnorm_lower(p, k)
-    return NormEstimateMargins(lhs1, lhs2, rhs)
+    xi_l2 = trace.norm2(cand.xi[j - 1])
+
+    lhs_left = trace.norm2(dstar_left(cand, j, p))
+    lhs_right = trace.norm2(dstar_right(cand, j, p))
+    d_p = d(j, p)
+    lhs_partial_left = trace.norm2(trace.partial_trace(d_p, "right"))
+    lhs_partial_right = trace.norm2(trace.partial_trace(d_p, "left"))
+
+    margin_dstar_tensor = None
+    margin_twisted_partial = None
+    if q is not None:
+        lhs_tensor = trace.norm2(dstar(cand, j, TensorPoly2.of(p, q)))
+        margin_dstar_tensor = 3 * xi_l2 * p_opnorm * q_opnorm - lhs_tensor
+        twisted = trace.partial_trace(d_p.bimodule_mul(NcPoly.one(p.n), q), "right")
+        lhs_twisted = trace.norm2(twisted)
+        margin_twisted_partial = 4 * xi_l2 * p_opnorm * q_opnorm - lhs_twisted
+
+    return MarginsReport(
+        xi_l2=xi_l2,
+        p_opnorm=p_opnorm,
+        margin_adjoint_left=xi_l2 * p_opnorm - lhs_left,
+        margin_adjoint_right=xi_l2 * p_opnorm - lhs_right,
+        margin_partial_left=2 * xi_l2 * p_opnorm - lhs_partial_left,
+        margin_partial_right=2 * xi_l2 * p_opnorm - lhs_partial_right,
+        q_opnorm=q_opnorm,
+        margin_dstar_tensor=margin_dstar_tensor,
+        margin_twisted_partial=margin_twisted_partial,
+    )
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .conjugate import ConjugateCandidate, dstar, dstar_left, dstar_right
-from .derivations import d
+from .conjugate import ConjugateCandidate, MarginsReport, norm_margins
 from .errors import EvaluationError
 from .ncpoly import NcPoly
 from .reduction import ldl
@@ -452,53 +451,6 @@ def spectrum(p: NcPoly, config: EnsembleConfig, bins: int = 100) -> SpectralRepo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarginsReport:
-    """Signed margins (bound minus left side) for the norm inequalities.
-
-    Left sides are exact symbolic L2 norms; only the operator norms on the
-    right are empirical, which isolates the Monte-Carlo noise in one factor.
-    """
-
-    xi_l2: float
-    p_opnorm: float
-    margin_adjoint_left: float
-    margin_adjoint_right: float
-    margin_partial_left: float
-    margin_partial_right: float
-    q_opnorm: float | None = None
-    margin_dstar_tensor: float | None = None
-    margin_twisted_partial: float | None = None
-
-    def all_margins(self) -> list[float]:
-        values = [
-            self.margin_adjoint_left,
-            self.margin_adjoint_right,
-            self.margin_partial_left,
-            self.margin_partial_right,
-        ]
-        if self.margin_dstar_tensor is not None:
-            values.append(self.margin_dstar_tensor)
-        if self.margin_twisted_partial is not None:
-            values.append(self.margin_twisted_partial)
-        return values
-
-    def to_dict(self) -> dict:
-        return {
-            "xi_l2": self.xi_l2,
-            "p_opnorm": self.p_opnorm,
-            "q_opnorm": self.q_opnorm,
-            "margins": {
-                "adjoint_left": self.margin_adjoint_left,
-                "adjoint_right": self.margin_adjoint_right,
-                "partial_left": self.margin_partial_left,
-                "partial_right": self.margin_partial_right,
-                "dstar_tensor": self.margin_dstar_tensor,
-                "twisted_partial": self.margin_twisted_partial,
-            },
-        }
-
-
 def empirical_margins(
     cand: ConjugateCandidate,
     j: int,
@@ -507,50 +459,14 @@ def empirical_margins(
     q: NcPoly | None = None,
     samples: Sequence[Sequence[np.ndarray]] | None = None,
 ) -> MarginsReport:
-    """Check the norm estimates with empirical operator norms.
+    """`norm_margins` at the largest singular values of p (and q) on samples.
 
-    Covers ||dstar(P (x) 1)||_2 <= ||xi|| ||P|| and its mirror, the factor-2
-    partial-trace bounds, and optionally (given q) the factor-3 bound for
-    dstar on P (x) q and the factor-4 bound for the twisted partial trace.
     `samples` is `sample(config)`, drawn here if not given; a caller that
     checks many polynomials on one ensemble draws it once and passes it.
-    The ensemble stays resident, since p and q are measured on the same
-    tuples.
+    The ensemble stays resident, since p and q are measured on the same tuples.
     """
     if samples is None:
         samples = sample(config)
-    trace = cand.trace
-    xi_l2 = trace.norm2(cand.xi[j - 1])
     p_opnorm = _opnorm(p, samples)
-
-    lhs_left = trace.norm2(dstar_left(cand, j, p))
-    lhs_right = trace.norm2(dstar_right(cand, j, p))
-    lhs_partial_left = trace.norm2(trace.partial_trace(d(j, p), "right"))
-    lhs_partial_right = trace.norm2(trace.partial_trace(d(j, p), "left"))
-
-    q_opnorm = None
-    margin_dstar_tensor = None
-    margin_twisted_partial = None
-    if q is not None:
-        from .tensor import TensorPoly2
-
-        q_opnorm = _opnorm(q, samples)
-        lhs_tensor = trace.norm2(dstar(cand, j, TensorPoly2.of(p, q)))
-        margin_dstar_tensor = 3 * xi_l2 * p_opnorm * q_opnorm - lhs_tensor
-        twisted = trace.partial_trace(
-            d(j, p).bimodule_mul(NcPoly.one(p.n), q), "right"
-        )
-        lhs_twisted = trace.norm2(twisted)
-        margin_twisted_partial = 4 * xi_l2 * p_opnorm * q_opnorm - lhs_twisted
-
-    return MarginsReport(
-        xi_l2=xi_l2,
-        p_opnorm=p_opnorm,
-        margin_adjoint_left=xi_l2 * p_opnorm - lhs_left,
-        margin_adjoint_right=xi_l2 * p_opnorm - lhs_right,
-        margin_partial_left=2 * xi_l2 * p_opnorm - lhs_partial_left,
-        margin_partial_right=2 * xi_l2 * p_opnorm - lhs_partial_right,
-        q_opnorm=q_opnorm,
-        margin_dstar_tensor=margin_dstar_tensor,
-        margin_twisted_partial=margin_twisted_partial,
-    )
+    q_opnorm = None if q is None else _opnorm(q, samples)
+    return norm_margins(cand, j, p, p_opnorm, q, q_opnorm)

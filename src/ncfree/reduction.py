@@ -20,7 +20,7 @@ from .derivations import d
 from .errors import NonPositiveMoments
 from .ncpoly import NcPoly, Word
 from .scalars import ONE, ZERO, Scalar
-from .trace import ExplicitMoments, TraceFunctional, check_nonnegative
+from .trace import TraceFunctional, check_nonnegative
 
 
 @dataclass(frozen=True)
@@ -82,16 +82,15 @@ def gram_matrix(
     Only the entries on and above the diagonal are moments; the rest follow
     from <w', w> = conj <w, w'>, which tau(u*) = conj tau(u) guarantees.
     """
-    size = len(words)
-    matrix: list[list[Scalar]] = [[ZERO] * size for _ in range(size)]
+    # each row is built when it is reached, so a word past the trace's limits
+    # raises before the rows after it take memory
+    matrix: list[list[Scalar]] = []
     for i, w1 in enumerate(words):
         diag = check_nonnegative(trace.moment(w1 + w1[::-1]), f"<w,w> for word {w1}")
-        row = matrix[i]
-        row[i] = diag
-        for j in range(i + 1, size):
-            value = trace.moment(w1 + words[j][::-1])
-            row[j] = value
-            matrix[j][i] = value.conjugate()
+        row = [earlier[i].conjugate() for earlier in matrix]
+        row.append(diag)
+        row.extend(trace.moment(w1 + w2[::-1]) for w2 in words[i + 1:])
+        matrix.append(row)
     return matrix
 
 
@@ -201,7 +200,7 @@ def free_family_certified(trace: TraceFunctional, degree: int) -> bool:
     limit, and for a singular or indefinite Hankel matrix: those cases are
     left to the Gram matrix, which finds the witnesses or the error.
     """
-    if isinstance(trace.spec.variant, ExplicitMoments):
+    if not trace.free:
         return False
     if not 0 <= 2 * degree <= trace.max_word_length:
         return False

@@ -360,9 +360,12 @@ class TraceFunctional:
         self.spec = spec
         self.degree_bound = degree_bound
         variant = spec.variant
+        #: True for a free product (semicircular or free family), where every
+        #: word has a moment; False for an explicit table, which may lack words
+        self.free = not isinstance(variant, ExplicitMoments)
         # (limit, name) in the order a word that is too long reports them
         self._limits = [(degree_bound, "degree bound")]
-        if isinstance(variant, ExplicitMoments):
+        if not self.free:
             self._limits.append((variant.degree, "explicit table degree"))
         elif isinstance(variant, FreeFamily) and variant.moments:
             depth = min(len(seq) for seq in variant.moments)
@@ -372,7 +375,7 @@ class TraceFunctional:
         # the memo holds only words `moment` accepts, so a hit can be read
         # straight from it (check_conjugate does)
         self._memo: dict[Word, Scalar] = {(): ONE}
-        if isinstance(variant, ExplicitMoments):
+        if not self.free:
             for word, value in variant.table.items():
                 if len(word) <= self.max_word_length:
                     self._memo[word] = value
@@ -402,7 +405,7 @@ class TraceFunctional:
     def symmetric_letters(self) -> tuple[int, ...]:
         """The letters whose odd free cumulants all vanish, () for a table: a
         word with an odd count of one has moment 0."""
-        if isinstance(self.spec.variant, ExplicitMoments):
+        if not self.free:
             return ()
         kappas = enumerate(self._cumulants, start=1)
         return tuple(letter for letter, kappa in kappas if not any(kappa[0::2]))
@@ -423,7 +426,7 @@ class TraceFunctional:
             self.check_length(len(word))
         value = self._memo.get(word)
         if value is None:
-            if isinstance(self.spec.variant, ExplicitMoments):
+            if not self.free:
                 raise UnknownMoment(f"no table entry for word {word}")
             value = _nc_moment(word, self._cumulants, self._memo, self.symmetric_letters)
         return value

@@ -23,10 +23,10 @@ from ncfree.conjugate import (
     check_adjoint,
     check_conjugate,
     check_duality,
-    norm_estimate_margins,
     dstar,
     dstar_left,
     dstar_right,
+    norm_margins,
 )
 from ncfree.derivations import d
 from ncfree.randmat import (
@@ -265,12 +265,13 @@ def test_criterion_10_margins(capsys):
         margins = empirical_margins(cand, j, p, config, samples=tuples)
         worst = min(worst, min(margins.all_margins()))
     # the P = 1 equality case, entirely symbolic
-    unit = norm_estimate_margins(cand, 1, NcPoly.one(2), k=3)
+    one = NcPoly.one(2)
+    unit = norm_margins(cand, 1, one, cand.trace.opnorm_lower(one, 3))
     report(
         capsys,
         10,
         "norm-inequality margins on 50 random P",
-        worst >= -0.05 and abs(unit.margin1) < 1e-9,
+        worst >= -0.05 and abs(unit.margin_adjoint_left) < 1e-9,
         f"worst margin {worst:.4f}",
     )
 

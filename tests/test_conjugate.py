@@ -15,11 +15,11 @@ from ncfree.conjugate import (
     check_adjoint,
     check_conjugate,
     check_duality,
-    norm_estimate_margins,
     dstar,
     dstar_left,
     dstar_right,
     fisher,
+    norm_margins,
     words_up_to,
 )
 from ncfree.derivations import d
@@ -94,6 +94,24 @@ def test_degree_bound_guard():
     cand = semicircular_candidate(1, degree_bound=4)
     with pytest.raises(DegreeBoundExceeded):
         check_conjugate(cand, degree=4)
+
+
+def test_the_longest_word_of_the_sweep_sets_the_limit():
+    # tau(Z_j w) on the 12-letter words is the first moment past the bound
+    with pytest.raises(DegreeBoundExceeded, match="^word length 13 exceeds degree bound 12$"):
+        check_conjugate(semicircular_candidate(2), degree=12)
+    # with xi = 0 the sweep reads only the splits of w, at most 4 letters here
+    zero = NcPoly.zero(2)
+    cand = ConjugateCandidate([zero, zero], DistributionSpec.standard_semicircular(2), 4)
+    failures = check_conjugate(cand, degree=5).failures
+    expected = conjugate_failures_oracle(
+        [{}, {}], 2, 5, functools.cache(lambda w: semicircular_moment_oracle(w, (1, 1)))
+    )
+    assert expected
+    assert [
+        (j, word, (lhs.re, lhs.im), (rhs.re, rhs.im))
+        for j, word, lhs, rhs in failures
+    ] == expected
 
 
 CATALAN = (1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
@@ -411,21 +429,23 @@ def test_margins_are_nonnegative_for_semicircular(rng):
         p = rand_poly(rng, 2, 3, complex_coeffs=False)
         if p.is_zero():
             continue
-        m = norm_estimate_margins(cand, 1, p, k=2)
+        m = norm_margins(cand, 1, p, cand.trace.opnorm_lower(p, 2))
+        rhs = m.xi_l2 * m.p_opnorm
         # the operator norm proxy is a lower bound, so allow small slack
-        assert m.margin1 >= -0.05 * max(1.0, m.rhs)
-        assert m.margin2 >= -0.05 * max(1.0, m.rhs)
+        assert m.margin_adjoint_left >= -0.05 * max(1.0, rhs)
+        assert m.margin_partial_left >= -0.05 * max(1.0, rhs)
 
 
 def test_margin_components_for_a_generator():
     cand = semicircular_candidate(1)
     z = NcPoly.gen(1, 1)
-    m = norm_estimate_margins(cand, 1, z, k=3)
+    m = norm_margins(cand, 1, z, cand.trace.opnorm_lower(z, 3))
+    rhs = m.xi_l2 * m.p_opnorm
     # dstar_left(Z) = Z^2 - 1, norm sqrt(tau(Z^4) - 2 tau(Z^2) + 1) = 1
-    assert m.lhs1 == pytest.approx(1.0)
-    assert m.lhs2 == pytest.approx(1.0)
+    assert rhs - m.margin_adjoint_left == pytest.approx(1.0)
+    assert 2 * rhs - m.margin_partial_left == pytest.approx(1.0)
     # rhs = ||Z||_2 tau(Z^6)^(1/6) = 5^(1/6)
-    assert m.rhs == pytest.approx(5 ** (1 / 6), rel=1e-12)
+    assert rhs == pytest.approx(5 ** (1 / 6), rel=1e-12)
 
 
 # -- Fisher information ------------------------------------------------------------

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import random
 import weakref
 
 import numpy as np
@@ -10,6 +12,7 @@ from ncfree import (
     EnsembleConfig,
     NcPoly,
 )
+from ncfree.conjugate import MarginsReport, norm_margins
 from ncfree.errors import EvaluationError
 from ncfree.randmat import (
     GUE,
@@ -28,6 +31,7 @@ from ncfree.randmat import (
 )
 from ncfree.randmat import _draw
 from ncfree.scalars import Scalar
+from ncfree.sweeps import rand_nonzero_poly
 
 from conftest import gens, run_python
 from oracles import (
@@ -482,6 +486,24 @@ def test_empirical_margins_for_semicircular():
         "dstar_tensor",
         "twisted_partial",
     }
+
+
+def test_empirical_margins_are_norm_margins_at_the_measured_norms():
+    spec = DistributionSpec.standard_semicircular(2)
+    cand = ConjugateCandidate(gens(2), spec)
+    config = gue_config(2, 30, 3)
+    rng = random.Random(15)
+    for _ in range(6):
+        p = rand_nonzero_poly(rng, 2, 3)
+        q = rand_nonzero_poly(rng, 2, 2)
+        j = rng.randint(1, 2)
+        measured = empirical_margins(cand, j, p, config, q=q)
+        given = norm_margins(
+            cand, j, p, opnorm_estimate(p, config), q, opnorm_estimate(q, config)
+        )
+        assert isinstance(measured, MarginsReport)
+        for field in dataclasses.fields(MarginsReport):
+            assert getattr(measured, field.name) == getattr(given, field.name), field.name
 
 
 def test_unit_polynomial_margin_is_tight():

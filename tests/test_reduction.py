@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -412,6 +413,21 @@ def test_depth_overflow_raises_the_gram_message(spec, degree_bound, message):
         with pytest.raises(DegreeBoundExceeded) as info:
             kernel(TraceFunctional(spec, degree_bound), 3)
         assert str(info.value) == message
+
+
+def test_a_gram_past_the_limit_raises_before_it_takes_memory():
+    # 4095 words: a pre-allocated 4095 x 4095 matrix alone is about 134 MB,
+    # while the rows built before the first 13-letter moment take about 2 MB
+    trace = TraceFunctional(DistributionSpec.standard_semicircular(2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegreeBoundExceeded) as info:
+            relation_kernel(trace, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "word length 13 exceeds degree bound 12"
+    assert peak < 16 * 2**20
 
 
 def test_free_family_relations_never_invert_cumulants(monkeypatch):

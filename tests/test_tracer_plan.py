@@ -1,8 +1,11 @@
-"""The benchmark tracer can still find every method it wraps.
+"""The benchmark tracer can still find every method and function it wraps.
 
 perfbench/tracer.py looks each traced method up in its class's own
 `__dict__`, so moving one onto a base class breaks traced benchmark runs.
-Planning the wrappers installs nothing, so this runs with the suite.
+It replaces a traced function in every ncfree module that binds it by
+identity, so moving one to another module, or calling it through another
+name, leaves its probe silent.  Planning the wrappers installs nothing, so
+this runs with the suite.
 """
 
 import importlib
@@ -25,6 +28,13 @@ def test_tracer_plans_every_traced_method(monkeypatch):
         assert (ncfree.tensor.TensorPoly3, name) in patched
     for name in ("__init__", "__mul__", "__rmul__", "evaluate"):
         assert (ncfree.ncpoly.NcPoly, name) in patched
+    for binding in [
+        (ncfree.randmat, "empirical_margins"),
+        (ncfree.cli, "empirical_margins"),
+        (ncfree.reduction, "gram_matrix"),
+        (ncfree.conjugate, "check_conjugate"),
+    ]:
+        assert binding in patched
     # planning leaves the classes as they were
     for owner, attr, original, _ in plan._patches:
         assert vars(owner)[attr] is original
