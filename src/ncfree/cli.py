@@ -12,7 +12,8 @@ flag and SystemExit(0) on --help.
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or configuration error, 3 internal error.  A negative --degree or
 --trials, a duality --degree of 0, a --slack that is NaN or infinite, an
---out file that cannot be written, an inconsistent explicit moment table,
+--out file that cannot be written, a spec file or a trace or ensemble
+section that is not a JSON object, an inconsistent explicit moment table,
 an ensemble whose matrix count differs from the trace's generator count and
 a Gram matrix that is not positive semidefinite are usage errors (2), never
 a verification failure.  Any other exception is reported as an internal
@@ -71,14 +72,24 @@ def load_spec_file(path: str) -> dict:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"spec file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("spec file must hold a JSON object")
     data["_digest"] = hashlib.sha256(raw.encode()).hexdigest()
     return data
 
 
+def spec_section(data: dict, name: str) -> dict:
+    """A copy of the spec file's section `name`, which must be a JSON object."""
+    if name not in data:
+        raise ConfigError(f"spec file is missing the '{name}' section")
+    section = data[name]
+    if not isinstance(section, dict):
+        raise ConfigError(f"the '{name}' section must be a JSON object")
+    return dict(section)
+
+
 def distribution_from(data: dict) -> DistributionSpec:
-    if "trace" not in data:
-        raise ConfigError("spec file is missing the 'trace' section")
-    section = dict(data["trace"])
+    section = spec_section(data, "trace")
     section.setdefault("n", data.get("n"))
     if section["n"] is None:
         raise ConfigError("spec file is missing the generator count 'n'")
@@ -89,9 +100,7 @@ def distribution_from(data: dict) -> DistributionSpec:
 
 
 def ensemble_from(data: dict, seed: int) -> EnsembleConfig:
-    if "ensemble" not in data:
-        raise ConfigError("spec file is missing the 'ensemble' section")
-    section = dict(data["ensemble"])
+    section = spec_section(data, "ensemble")
     section.setdefault("n", data.get("n"))
     try:
         return EnsembleConfig.from_dict(section, seed=seed)
@@ -141,7 +150,7 @@ def candidate_from(args, data: dict, spec: DistributionSpec) -> ConjugateCandida
 def relations_block(trace: TraceFunctional, degree: int) -> dict:
     """The relation kernel up to `degree` as a result block."""
     # the Gram matrix reads words up to 2 degree long, shortest first
-    trace.check_length(min(2 * degree, trace.max_word_length + 1))
+    trace.check_sweep(2 * degree)
     kernel = relation_kernel(trace, degree)
     return {
         "degree": degree,
@@ -224,7 +233,7 @@ def cmd_duality(args, data: dict) -> int:
         # the second word of every trial has at least one letter
         raise ConfigError(f"--degree must be at least 1 for duality, got {args.degree}")
     # a trial reads tau(x y[:k]) with |x| <= degree and |y[:k]| < degree
-    trace.check_length(min(2 * args.degree - 1, trace.max_word_length + 1))
+    trace.check_sweep(2 * args.degree - 1)
     rng = random.Random(args.seed)
     failures = []
     for _ in range(args.trials):

@@ -108,7 +108,7 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
     xi_degrees = [int(p.total_degree()) for p in cand.xi if not p.is_zero()]
     # the sweep's longest word: u w on the right, or a split's head or tail
     longest = degree + max(xi_degrees) if xi_degrees else degree - 1
-    trace.check_length(min(longest, trace.max_word_length + 1))
+    trace.check_sweep(longest)
     moment = trace.moment
     cached = trace._memo.get
     # bit s of mask(v) is the parity of the count of symmetric letter s in v,

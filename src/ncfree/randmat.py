@@ -29,8 +29,8 @@ import numpy as np
 from .conjugate import ConjugateCandidate, MarginsReport, norm_margins
 from .errors import EvaluationError
 from .ncpoly import NcPoly
-from .reduction import ldl
-from .scalars import ZERO, Scalar
+from .reduction import jacobi
+from .scalars import Scalar
 from .trace import json_int, json_list, json_real
 
 RNG_NAME = "numpy-pcg64"
@@ -148,13 +148,11 @@ def quadrature_from_moments(moments: Sequence[float]) -> tuple[np.ndarray, np.nd
     """Nodes and weights of the discrete measure matching m_1..m_2k (Golub-Welsch).
 
     With m_0 = 1 and the floats taken as exact fractions, the first
-    k = len(moments) // 2 pivots of the `ldl` of the Hankel matrix
-    [m_(a+b)], a, b <= k, are the norms h_j of the monic orthogonal
-    polynomials, and its factor L gives their recurrence coefficients
-    a_j = L[j+1][j] - L[j][j-1] (Golub and Welsch 1969).  The Jacobi matrix
-    has a_j on the diagonal and sqrt(h_j / h_(j-1)) beside it; its
-    eigenvalues are the nodes, and the squared first components of its
-    eigenvectors the weights.  The pivots stop at the first h_j that is 0 up
+    k = len(moments) // 2 pairs of `jacobi` are the norms h_j of the monic
+    orthogonal polynomials and their recurrence coefficients a_j.  The
+    Jacobi matrix has a_j on the diagonal and sqrt(h_j / h_(j-1)) beside it;
+    its eigenvalues are the nodes, and the squared first components of its
+    eigenvectors the weights.  The pairs stop at the first h_j that is 0 up
     to the rounding of the given floats (|h_j| <= 1e-12 m_2j), where the
     measure has j atoms, and any other h_j < 0 is rejected.  h_k is not
     taken: it reads m_2k, which only the reproduction check judges.
@@ -163,23 +161,20 @@ def quadrature_from_moments(moments: Sequence[float]) -> tuple[np.ndarray, np.nd
         raise ValueError("need at least two moments")
     k = len(moments) // 2
     m = [Fraction(1), *map(Fraction, moments)]
-    hankel = [[Scalar(m_i) for m_i in m[i : i + k + 1]] for i in range(k + 1)]
     a: list[Fraction] = []
     h: list[Fraction] = []
-    previous: dict[int, Scalar] = {}
-    for j, pivot, factor in islice(ldl(hankel), k):
-        if abs(pivot.re) <= ZERO_NORM * m[2 * j]:
+    for j, (h_j, a_j) in enumerate(islice(jacobi([Scalar(m_i) for m_i in m]), k)):
+        if abs(h_j.re) <= ZERO_NORM * m[2 * j]:
             break
-        if pivot.re < 0:
+        if h_j.re < 0:
             raise ValueError("moment sequence is not positive")
-        a.append((factor.get(j + 1, ZERO) - previous.get(j, ZERO)).re)
-        h.append(pivot.re)
-        previous = factor
+        a.append(a_j.re)
+        h.append(h_j.re)
     off = np.sqrt([float(h_j / h_i) for h_i, h_j in zip(h, h[1:])])
-    jacobi = np.diag([float(a_j) for a_j in a]) + np.diag(off, 1) + np.diag(off, -1)
-    nodes, vectors = np.linalg.eigh(jacobi)
+    matrix = np.diag([float(a_j) for a_j in a]) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(matrix)
     weights = vectors[0] ** 2
-    # the pivots read only the first moments; verify the measure has them all
+    # jacobi reads only the first moments; verify the measure has them all
     for j, target in enumerate(np.asarray(moments, dtype=float), start=1):
         value = float(np.sum(weights * nodes ** j))
         if abs(value - target) > 1e-8 * max(1.0, abs(target)):

@@ -135,6 +135,24 @@ def ldl(matrix: list[list[Scalar]]) -> Iterator[tuple[int, Scalar, dict]]:
                     target.pop(j, None)
 
 
+def jacobi(moments: list[Scalar]) -> Iterator[tuple[Scalar, Scalar | None]]:
+    """The recurrence x pi_j = pi_(j+1) + a_j pi_j + (h_j / h_(j-1)) pi_(j-1).
+
+    Yields (h_j, a_j) for j <= k from m_0..m_2k, one pair per request: the
+    norms h_j = L(pi_j^2) of the monic orthogonal polynomials are the pivots
+    of the `ldl` of the Hankel matrix [m_(a+b)], a, b <= k, and its factor
+    gives a_j = L[j+1][j] - L[j][j-1] (Golub and Welsch 1969).  a_k would
+    read m_(2k+1) and a_j at h_j = 0 would divide by 0, so both are None.
+    """
+    k = (len(moments) - 1) // 2
+    hankel = [moments[i : i + k + 1] for i in range(k + 1)]
+    previous: dict[int, Scalar] = {}
+    for j, h, factor in ldl(hankel):
+        a = factor.get(j + 1, ZERO) - previous.get(j, ZERO) if h and j < k else None
+        yield h, a
+        previous = factor
+
+
 def nullspace(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
     """Exact null-space basis of a Hermitian positive semidefinite matrix.
 
@@ -160,7 +178,7 @@ def nullspace(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
                     "the matrix is not positive semidefinite"
                 )
             free.append(k)
-        elif pivot.im != 0 or pivot.re < 0:
+        elif not pivot.is_positive():
             raise NonPositiveMoments(
                 f"pivot {pivot} at column {k} is not a positive real: "
                 "the matrix is not positive semidefinite"
@@ -192,9 +210,8 @@ def free_family_certified(trace: TraceFunctional, degree: int) -> bool:
     alternating products of centred one-letter spaces (Voiculescu, Dykema
     and Nica 1992).  So the Gram matrix of the words of length <= degree is
     congruent to a diagonal of products of the letters' orthogonal-polynomial
-    norms h_0..h_degree, the pivots of the `ldl` of each letter's Hankel
-    matrix [m_(a+b)], a, b <= degree: it is positive definite iff they are
-    positive reals.  Only the letters' own moments m_0..m_(2 degree) are read.
+    norms h_0..h_degree, which `jacobi` reads from each letter's moments
+    m_0..m_(2 degree): it is positive definite iff they are positive reals.
 
     False for an explicit table, for a degree whose words reach past a depth
     limit, and for a singular or indefinite Hankel matrix: those cases are
@@ -206,15 +223,16 @@ def free_family_certified(trace: TraceFunctional, degree: int) -> bool:
         return False
     for letter in range(1, trace.spec.n + 1):
         moments = [trace.moment((letter,) * k) for k in range(2 * degree + 1)]
-        hankel = [moments[a : a + degree + 1] for a in range(degree + 1)]
-        for _, pivot, _ in ldl(hankel):
-            if pivot.im != 0 or pivot.re <= 0:
-                return False
+        if not all(h.is_positive() for h, _ in jacobi(moments)):
+            return False
     return True
 
 
 def gram_kernel(trace: TraceFunctional, degree: int) -> list[NcPoly]:
     """The null basis of the Gram matrix of all words of length <= degree."""
+    # row 0 reads every word, so the first word past the limits is met there:
+    # raise before the list of words, which grows as n^degree, takes memory
+    trace.check_sweep(degree)
     words = list(words_up_to(trace.spec.n, degree))
     matrix = gram_matrix(trace, words)
     basis = nullspace(matrix)

@@ -125,6 +125,10 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self._re and not self._im
 
+    def is_positive(self) -> bool:
+        """True for a real number > 0."""
+        return not self._im and self._re > 0
+
     def __bool__(self):
         return bool(self._re or self._im)
 
@@ -201,4 +205,3 @@ def _lowest(re: int, im: int, den: int) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-I = Scalar(0, 1)

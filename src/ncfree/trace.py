@@ -411,11 +411,15 @@ class TraceFunctional:
         return tuple(letter for letter, kappa in kappas if not any(kappa[0::2]))
 
     def check_length(self, length: int) -> None:
-        """Raise the DegreeBoundExceeded `moment` raises on a word of `length`.
-        A sweep that meets words shortest first fails at max_word_length + 1."""
+        """Raise the DegreeBoundExceeded `moment` raises on a word of `length`."""
         for limit, name in self._limits:
             if length > limit:
                 raise DegreeBoundExceeded(f"word length {length} exceeds {name} {limit}")
+
+    def check_sweep(self, longest: int) -> None:
+        """Raise what a sweep over words of up to `longest` letters, shortest
+        first, meets first: the error at length max_word_length + 1, if reached."""
+        self.check_length(min(longest, self.max_word_length + 1))
 
     # -- moments ---------------------------------------------------------
 
@@ -469,10 +473,6 @@ class TraceFunctional:
         if side == "right":
             return self._contract(s, lambda key: key[::-1], NcPoly)
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-    def contract_middle(self, y: TensorPoly3) -> TensorPoly2:
-        """(id (x) tau (x) id): trace the middle leg."""
-        return self._contract(y, lambda key: (key[1], (key[0], key[2])), TensorPoly2)
 
     def collapse_middle(self, y: TensorPoly3) -> NcPoly:
         """m_1 (id (x) tau (x) id): trace the middle leg, multiply the outer ones."""

@@ -647,6 +647,12 @@ def test_non_list_table_word_is_a_usage_error(tmp_path, capsys):
          {"ensemble": {"dim": 2, "samples": 1,
                        "matrices": [{"kind": "gue", "variance": -1}]}},
          "GUE variance must be non-negative, got -1.0"),
+        ("relations", {"trace": "semicircular"}, "the 'trace' section must be a JSON object"),
+        ("relations", {"trace": 5}, "the 'trace' section must be a JSON object"),
+        ("spectrum", {"trace": "semicircular"}, "the 'trace' section must be a JSON object"),
+        ("spectrum", {"trace": 5}, "the 'trace' section must be a JSON object"),
+        ("spectrum", {"ensemble": 5}, "the 'ensemble' section must be a JSON object"),
+        ("spectrum", {"ensemble": "gue"}, "the 'ensemble' section must be a JSON object"),
         ("margins",
          {"ensemble": {"dim": 2, "samples": 1,
                        "matrices": [{"kind": "gue", "variance": -1}]}},
@@ -655,7 +661,8 @@ def test_non_list_table_word_is_a_usage_error(tmp_path, capsys):
     ids=["free-moments", "table-entry", "matrices", "matrices-entry", "diagonal-moments",
          "n-list", "n-bool", "table-degree", "gue-variance-list", "diagonal-moment-null",
          "dim-float", "samples-bool", "ensemble-n-string", "spectrum-negative-variance",
-         "margins-negative-variance"],
+         "trace-string", "trace-number", "spectrum-trace-string", "spectrum-trace-number",
+         "ensemble-number", "ensemble-string", "margins-negative-variance"],
 )
 def test_malformed_spec_value_is_a_usage_error(tmp_path, capsys, command, spec, message):
     path = tmp_path / "malformed.json"
@@ -671,6 +678,17 @@ def test_malformed_spec_value_is_a_usage_error(tmp_path, capsys, command, spec, 
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert message in captured.err
+
+
+@pytest.mark.parametrize("command", ["relations", "spectrum"])
+@pytest.mark.parametrize("document", [[{"n": 1}], "spec"], ids=["array", "string"])
+def test_spec_file_that_is_not_an_object_is_a_usage_error(tmp_path, capsys, command, document):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(document))
+    assert main([command, "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spec file must hold a JSON object\n"
 
 
 @pytest.mark.parametrize("bound", ["12", True, -1], ids=["string", "bool", "negative"])

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -14,11 +15,12 @@ from ncfree.reduction import (
     free_family_certified,
     gram_kernel,
     gram_matrix,
+    jacobi,
     ldl,
     nullspace,
     relation_kernel,
 )
-from ncfree.scalars import ZERO, Scalar
+from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_nonzero_poly, rand_self_adjoint, rand_word
 from ncfree.trace import ExplicitMoments, FreeFamily, SemicircularFamily
 
@@ -228,28 +230,24 @@ def rand_measure_moments(rng, atoms, count):
     ]
 
 
-def pivots_until_not_positive(moments):
-    """The pivots and factor rows of the Hankel ldl, up to the first bad pivot."""
+def assert_jacobi_matches_gram_schmidt(moments):
+    """jacobi's (h, a) up to the first h that is not positive, against the oracle."""
     k = (len(moments) - 1) // 2
-    hankel = [[Scalar(m) for m in moments[i : i + k + 1]] for i in range(k + 1)]
-    pivots, rows = [], []
-    for j, pivot, row in ldl(hankel):
-        assert j == len(pivots)
-        assert pivot.im == 0
-        pivots.append(pivot.re)
-        rows.append(row)
-        if pivot.re <= 0:
+    h, a = [], []
+    for j, (h_j, a_j) in enumerate(jacobi([Scalar(m) for m in moments])):
+        assert h_j.im == 0
+        h.append(h_j.re)
+        if h_j.re <= 0:
             break
-    return pivots, rows
-
-
-def assert_ldl_matches_gram_schmidt(moments):
-    pivots, rows = pivots_until_not_positive(moments)
-    h, a = orthogonal_polynomial_oracle(moments)
+        assert (a_j is None) == (j == k)
+        if a_j is not None:
+            assert a_j.im == 0
+            a.append(a_j.re)
+    assert (h, a) == orthogonal_polynomial_oracle(moments)
+    # the h_j are the pivots of the ldl of the Hankel matrix
+    hankel = [[Scalar(m) for m in moments[i : i + k + 1]] for i in range(k + 1)]
+    pivots = [pivot.re for _, pivot, _ in islice(ldl(hankel), len(h))]
     assert pivots == h
-    for j, a_j in enumerate(a):
-        below = rows[j - 1].get(j, ZERO) if j else ZERO
-        assert rows[j].get(j + 1, ZERO) - below == a_j
     return h
 
 
@@ -258,7 +256,7 @@ def test_ldl_of_a_hankel_matrix_is_its_orthogonal_polynomials(rng):
     for _ in range(40):
         k = rng.randint(1, 5)
         atoms = rng.randint(1, 7)
-        h = assert_ldl_matches_gram_schmidt(rand_measure_moments(rng, atoms, 2 * k + 1))
+        h = assert_jacobi_matches_gram_schmidt(rand_measure_moments(rng, atoms, 2 * k + 1))
         assert len(h) == min(atoms, k) + 1
         assert (h[-1] == 0) if atoms <= k else (h[-1] > 0)
 
@@ -273,7 +271,7 @@ def test_ldl_stops_at_the_first_bad_hankel_pivot(rng, excess):
         j = rng.randint(1, k)
         h, _ = orthogonal_polynomial_oracle(moments)
         moments[2 * j] -= h[j] + excess
-        h = assert_ldl_matches_gram_schmidt(moments)
+        h = assert_jacobi_matches_gram_schmidt(moments)
         assert len(h) == j + 1
         assert h[j] == -excess
 
@@ -283,7 +281,7 @@ def test_ldl_after_a_perturbed_odd_moment(rng):
         k = rng.randint(1, 5)
         moments = rand_measure_moments(rng, rng.randint(1, 7), 2 * k + 1)
         moments[2 * rng.randint(1, k) - 1] += Fraction(rng.randint(-9, 9), 4)
-        assert_ldl_matches_gram_schmidt(moments)
+        assert_jacobi_matches_gram_schmidt(moments)
 
 
 # -- relation detection ----------------------------------------------------------------
@@ -416,18 +414,21 @@ def test_depth_overflow_raises_the_gram_message(spec, degree_bound, message):
 
 
 def test_a_gram_past_the_limit_raises_before_it_takes_memory():
-    # 4095 words: a pre-allocated 4095 x 4095 matrix alone is about 134 MB,
-    # while the rows built before the first 13-letter moment take about 2 MB
-    trace = TraceFunctional(DistributionSpec.standard_semicircular(2))
-    tracemalloc.start()
-    try:
-        with pytest.raises(DegreeBoundExceeded) as info:
-            relation_kernel(trace, 11)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert str(info.value) == "word length 13 exceeds degree bound 12"
-    assert peak < 16 * 2**20
+    # degree 11, 4095 words: a pre-allocated 4095 x 4095 matrix alone is
+    # about 134 MB, while the rows built before the first 13-letter moment
+    # take about 2 MB.  Degree 17, 262,143 words: the word list alone is
+    # about 50 MB, and row 0 would meet a 13-letter word
+    for degree in (11, 17):
+        trace = TraceFunctional(DistributionSpec.standard_semicircular(2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DegreeBoundExceeded) as info:
+                relation_kernel(trace, degree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "word length 13 exceeds degree bound 12"
+        assert peak < 16 * 2**20
 
 
 def test_free_family_relations_never_invert_cumulants(monkeypatch):

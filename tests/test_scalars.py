@@ -90,6 +90,7 @@ def test_arithmetic_matches_fraction_pairs(x, y):
             sx / sy
     assert (sx == sy) == ((a, b) == (c, d))
     assert sx.is_zero() == (a == 0 and b == 0)
+    assert sx.is_positive() == (b == 0 and a > 0)
     assert Scalar.parse(str(sx)) == sx
 
 

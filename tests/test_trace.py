@@ -323,7 +323,6 @@ def test_partial_trace_sides(trace2):
 
 def test_middle_contractions(trace2):
     y = TensorPoly3(2, {((1,), (2, 2), (1, 1)): Scalar(3)})
-    assert trace2.contract_middle(y) == TensorPoly2(2, {((1,), (1, 1)): Scalar(3)})
     assert trace2.collapse_middle(y) == 3 * NcPoly.monomial(2, (1, 1, 1))
 
 
