@@ -6,17 +6,19 @@ timestamps and therefore byte-identical across reruns with the same seed.
 
 `main(argv)` returns the exit status and may be called many times in one
 process: the argument parser is built on the first call and reused, and no
-call sees another's flags.  argparse still raises SystemExit(2) on a bad
-flag and SystemExit(0) on --help.
+call sees another's flags.  Calls on one free distribution share its exact
+moment memo (`ncfree.trace`), so a later call reads the words an earlier one
+computed; calls on an explicit table do not.  argparse still raises
+SystemExit(2) on a bad flag and SystemExit(0) on --help.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or configuration error, 3 internal error.  A negative --degree or
 --trials, a duality --degree of 0, a --slack that is NaN or infinite, an
 --out file that cannot be written, a spec file or a trace or ensemble
-section that is not a JSON object, an inconsistent explicit moment table,
-an ensemble whose matrix count differs from the trace's generator count and
-a Gram matrix that is not positive semidefinite are usage errors (2), never
-a verification failure.  Any other exception is reported as an internal
+section that is not a JSON object, a number with a zero denominator, an
+inconsistent explicit moment table, an ensemble whose matrix count differs
+from the trace's generator count and a Gram matrix that is not positive
+semidefinite are usage errors (2), never a verification failure.  Any other exception is reported as an internal
 error (3): an `internal error:` line and the traceback go to stderr.
 """
 

@@ -174,10 +174,11 @@ class Scalar:
         m = Scalar._PATTERN.match(text.strip())
         if m is None:
             raise ValueError(f"malformed scalar: {text!r}")
-        re_part = Fraction(m.group("re"))
-        if m.group("im") is None:
-            return Scalar(re_part)
-        im_part = Fraction(m.group("im"))
+        try:
+            re_part = Fraction(m.group("re"))
+            im_part = Fraction(m.group("im") or 0)
+        except ZeroDivisionError:
+            raise ValueError(f"scalar {text!r} has a zero denominator") from None
         if m.group("sign") == "-":
             im_part = -im_part
         return Scalar(re_part, im_part)

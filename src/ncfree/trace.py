@@ -175,16 +175,22 @@ def json_real(value, what: str) -> float:
     return float(value)
 
 
-def _exact_numbers(values, what: str) -> tuple:
+def _exact_numbers(values, what: str) -> tuple[Fraction, ...]:
     """A JSON list of exact numbers: strings such as "1/10", or integers.
 
     A JSON float is refused, since its binary expansion, not the decimal
-    that was written, would enter the exact layer.
+    that was written, would enter the exact layer.  So is a zero denominator.
     """
     for value in json_list(values, what):
         if isinstance(value, bool) or not isinstance(value, (str, int)):
             raise ValueError(f"number {value!r} is not a string or an integer")
-    return tuple(values)
+    numbers = []
+    for value in values:
+        try:
+            numbers.append(Fraction(value))
+        except ZeroDivisionError:
+            raise ValueError(f"number {value!r} has a zero denominator") from None
+    return tuple(numbers)
 
 
 @dataclass(frozen=True)
@@ -222,7 +228,6 @@ class DistributionSpec:
     def from_dict(data: Mapping) -> "DistributionSpec":
         n = json_int(data["n"], "n", 0)
         kind = data["variant"]
-        # the variant classes convert their numbers to Fraction themselves
         if kind == "semicircular":
             variant: Variant = SemicircularFamily(
                 _exact_numbers(data["variances"], "variances")
@@ -334,7 +339,7 @@ def free_cumulants(moments: Sequence[Fraction]) -> list[Fraction]:
 
 def check_nonnegative(value: Scalar, quantity: str) -> Scalar:
     """Return the value of `quantity` if it is a nonnegative real, else raise."""
-    if value.im != 0 or value.re < 0:
+    if not (value.is_zero() or value.is_positive()):
         raise NonPositiveMoments(
             f"{quantity} = {value} is not a nonnegative real; the moment data "
             "is not positive"
@@ -346,14 +351,49 @@ def check_nonnegative(value: Scalar, quantity: str) -> Scalar:
 # the trace functional
 # ---------------------------------------------------------------------------
 
+#: free distributions whose moment memos and cumulants a process keeps
+SHARED_DISTRIBUTIONS = 8
+
+
+@functools.lru_cache(maxsize=SHARED_DISTRIBUTIONS)
+def _shared_memo(spec: DistributionSpec, max_word_length: int) -> dict[Word, Scalar]:
+    """The memo that every TraceFunctional on the free family `spec` with this
+    max_word_length fills, seeded with tau() = 1 and each letter's moments."""
+    memo = {(): ONE}
+    if isinstance(spec.variant, FreeFamily):
+        for letter, seq in enumerate(spec.variant.moments, start=1):
+            for k, m_k in enumerate(seq[:max_word_length], start=1):
+                memo[(letter,) * k] = Scalar(m_k)
+    return memo
+
+
+@functools.lru_cache(maxsize=SHARED_DISTRIBUTIONS)
+def _spec_cumulants(spec: DistributionSpec) -> tuple[tuple[Scalar, ...], ...]:
+    """Per letter of a free family, kappa_1..kappa_m cut after the last
+    nonzero cumulant: no block of that letter can be longer than m."""
+    variant = spec.variant
+    if isinstance(variant, SemicircularFamily):
+        kappas = [[0, v] for v in variant.variances]
+    else:
+        kappas = [free_cumulants(seq) for seq in variant.moments]
+    cumulants = []
+    for kappa in kappas:
+        kappa = [Scalar(k) for k in kappa]
+        while kappa and not kappa[-1]:
+            kappa.pop()
+        cumulants.append(tuple(kappa))
+    return tuple(cumulants)
+
 
 class TraceFunctional:
     """tau induced by a DistributionSpec, memoized over raw words.
 
     The variant is resolved once, in __init__, so `moment` only compares the
-    word length with the tightest limit and looks the word up.  A free
-    family's memo starts with each letter's own moments, so the free
-    cumulants are inverted only by a mixed-word miss or symmetric_letters.
+    word length with the tightest limit and looks the word up.  Functionals
+    on one free family with one max_word_length share a memo in the process
+    (`_shared_memo`), which starts with each letter's own moments, so the free
+    cumulants are inverted only by a mixed-word miss or symmetric_letters, at
+    most once per family (`_spec_cumulants`).  A table keeps its own memo.
     """
 
     def __init__(self, spec: DistributionSpec, degree_bound: int = DEFAULT_DEGREE_BOUND):
@@ -374,32 +414,17 @@ class TraceFunctional:
         self.max_word_length = min(limit for limit, _ in self._limits)
         # the memo holds only words `moment` accepts, so a hit can be read
         # straight from it (check_conjugate does)
-        self._memo: dict[Word, Scalar] = {(): ONE}
-        if not self.free:
+        if self.free:
+            self._memo = _shared_memo(spec, self.max_word_length)
+        else:
+            self._memo = {(): ONE}
             for word, value in variant.table.items():
                 if len(word) <= self.max_word_length:
                     self._memo[word] = value
-        elif isinstance(variant, FreeFamily):
-            for letter, seq in enumerate(variant.moments, start=1):
-                for k, m_k in enumerate(seq[: self.max_word_length], start=1):
-                    self._memo[(letter,) * k] = Scalar(m_k)
 
     @functools.cached_property
-    def _cumulants(self) -> list[list[Scalar]]:
-        """Per letter of a free family, kappa_1..kappa_m cut after the last
-        nonzero cumulant: no block of that letter can be longer than m."""
-        variant = self.spec.variant
-        if isinstance(variant, SemicircularFamily):
-            kappas = [[0, v] for v in variant.variances]
-        else:
-            kappas = [free_cumulants(seq) for seq in variant.moments]
-        cumulants = []
-        for kappa in kappas:
-            kappa = [Scalar(k) for k in kappa]
-            while kappa and not kappa[-1]:
-                kappa.pop()
-            cumulants.append(kappa)
-        return cumulants
+    def _cumulants(self) -> tuple[tuple[Scalar, ...], ...]:
+        return _spec_cumulants(self.spec)
 
     @functools.cached_property
     def symmetric_letters(self) -> tuple[int, ...]:

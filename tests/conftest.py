@@ -12,6 +12,14 @@ from ncfree.scalars import Scalar
 from ncfree.trace import ExplicitMoments
 
 
+@pytest.fixture(autouse=True)
+def cold_moment_caches():
+    """Start each test from empty shared moment memos and cumulants, as a new
+    process does, so no test reads words another one computed or wrote."""
+    ncfree.trace._shared_memo.cache_clear()
+    ncfree.trace._spec_cumulants.cache_clear()
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

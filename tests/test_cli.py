@@ -593,6 +593,37 @@ def test_float_in_trace_section_is_a_usage_error(tmp_path, capsys, trace):
     assert "is not a string or an integer" in captured.err
 
 
+SEMICIRCULAR_2 = {"variant": "semicircular", "variances": ["1", "1"]}
+XI = ["--xi", "1 * Z 1;1 * Z 2"]
+
+
+@pytest.mark.parametrize(
+    "trace, command, message",
+    [
+        ({"variant": "semicircular", "variances": ["1/0", "1"]}, ["relations"],
+         "number '1/0' has a zero denominator"),
+        ({"variant": "free", "moments": [["0", "1"], ["0", "1/0"]]},
+         ["verify-conjugate", *XI], "number '1/0' has a zero denominator"),
+        ({"variant": "explicit", "degree": 2, "moments": [{"word": [1, 1], "value": "1/0"}]},
+         ["spectrum", "--poly", "1 * Z 1"], "scalar '1/0' has a zero denominator"),
+        (SEMICIRCULAR_2, ["verify-conjugate", "--xi", "1/0 * Z 1;1 * Z 2"],
+         "scalar '1/0 ' has a zero denominator"),
+        (SEMICIRCULAR_2, ["spectrum", "--poly", "1/0 * Z 1"],
+         "scalar '1/0 ' has a zero denominator"),
+    ],
+    ids=["variance", "free-moment", "table-value", "xi", "poly"],
+)
+def test_zero_denominator_is_a_usage_error(tmp_path, capsys, trace, command, message):
+    path = tmp_path / "zero.json"
+    ensemble = {"dim": 2, "samples": 1, "matrices": [{"kind": "gue"}] * 2}
+    path.write_text(json.dumps({"n": 2, "trace": trace, "ensemble": ensemble}))
+    assert main([command[0], "--spec", str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
 def test_non_list_table_word_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "word.json"
     moments = [{"word": [], "value": "1"}, {"word": 5, "value": "0"}]

@@ -389,7 +389,10 @@ def test_duality_rejects_a_functional_without_the_star(rng, family):
     trace = TraceFunctional(_duality_specs()[family])
     v = (1, 1, 2, 2)
     # tau(v) + i is not real; tau(v*) = tau(2 2 1 1) reads the old value (a
-    # table) or this one (the rotation key of a free family): never its conjugate
+    # table) or this one (the rotation key of a free family): never its conjugate.
+    # The wrong value goes into a private copy of the memo, which a free family
+    # shares with every functional on it
+    trace._memo = dict(trace._memo)
     trace._memo[v] = trace.moment(v) + Scalar(0, 1)
     z1, z2 = gens(trace.spec.n)[:2]
     # d_1 of Z2 Z2 Z1 splits at k = 2, so the sweep reads v = (1 1) (2 2)

@@ -43,8 +43,9 @@ def test_parse_forms():
     assert Scalar.parse("-2/3") == Scalar(Fraction(-2, 3))
     assert Scalar.parse("1/2+3/4 i") == Scalar(Fraction(1, 2), Fraction(3, 4))
     assert Scalar.parse("0-1 i") == Scalar(0, -1)
-    with pytest.raises(ValueError):
-        Scalar.parse("bananas")
+    for text in ("bananas", "1/0", "0+1/0 i", "-3/00-1 i"):
+        with pytest.raises(ValueError):
+            Scalar.parse(text)
 
 
 # -- oracle: a pair of Fractions, computed here without going through Scalar ---------

@@ -1,8 +1,11 @@
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import ncfree
 from ncfree import DistributionSpec, NcPoly, TensorPoly2, TraceFunctional
 from ncfree.errors import DegreeBoundExceeded, NonPositiveMoments, UnknownMoment
 from ncfree.scalars import Scalar
@@ -12,6 +15,7 @@ from ncfree.trace import (
     ExplicitMoments,
     FreeFamily,
     SemicircularFamily,
+    check_nonnegative,
     free_cumulants,
 )
 
@@ -209,6 +213,123 @@ def test_memo_holds_only_words_moment_accepts():
             trace.moment((1,) * 5)
 
 
+# -- the moment memo shared by the functionals on one free family ------------
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of ncfree.trace.`name`, which still runs."""
+    calls = []
+    original = getattr(ncfree.trace, name)
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(ncfree.trace, name, counting)
+    return calls
+
+
+def test_functionals_on_one_free_family_share_one_memo(monkeypatch):
+    spec = DistributionSpec(2, FreeFamily((BERNOULLI_MOMENTS, POISSON_MOMENTS)))
+    first = TraceFunctional(spec)
+    words = [word for k in range(7) for word in product((1, 2), repeat=k)]
+    values = [first.moment(word) for word in words]
+    known = dict(first._memo)
+    recursions = count_calls(monkeypatch, "_nc_moment")
+    # an equal spec, not the same object, and another bound past the depth 10
+    second = TraceFunctional(DistributionSpec.from_dict(spec.to_dict()), degree_bound=20)
+    assert second._memo is first._memo
+    assert [second.moment(word) for word in words] == values
+    assert recursions == []
+    assert second._memo == known
+
+
+def test_functionals_with_other_word_limits_keep_their_own_memos():
+    spec = DistributionSpec.standard_semicircular(2)
+    long, short = TraceFunctional(spec, degree_bound=8), TraceFunctional(spec, degree_bound=4)
+    assert long._memo is not short._memo
+    for word in [(1, 2) * 4, (1, 1, 2, 2) * 2]:
+        assert long.moment(word) == Scalar(semicircular_moment_oracle(word, (1, 1)))
+    assert short._memo == {(): Scalar(1)}
+    for word in product((1, 2), repeat=4):
+        short.moment(word)
+    assert max(len(word) for word in short._memo) == 4
+    with pytest.raises(DegreeBoundExceeded):
+        short.moment((1,) * 5)
+
+
+def test_equal_tables_never_share_a_memo():
+    first, second = TraceFunctional(bernoulli_spec()), TraceFunctional(bernoulli_spec())
+    assert first._memo is not second._memo
+    first._memo[(1, 1)] = Scalar(5)
+    assert first.moment((1, 1)) == Scalar(5)
+    assert second.moment((1, 1)) == Scalar(1)
+
+
+def test_shared_memos_are_bounded():
+    bound = ncfree.trace.SHARED_DISTRIBUTIONS
+    for variance in range(1, 2 * bound + 2):
+        trace = TraceFunctional(DistributionSpec(1, SemicircularFamily((variance,))))
+        assert trace.moment((1,) * 4) == Scalar(2 * variance**2)
+        for cache in (ncfree.trace._shared_memo, ncfree.trace._spec_cumulants):
+            assert cache.cache_info().currsize == min(variance, bound)
+    # an evicted family starts again from a fresh memo
+    trace = TraceFunctional(DistributionSpec(1, SemicircularFamily((1,))))
+    assert trace._memo == {(): Scalar(1)}
+    assert trace.moment((1,) * 4) == Scalar(2)
+
+
+def test_cumulants_are_inverted_once_per_family_on_a_miss(monkeypatch):
+    inversions = count_calls(monkeypatch, "free_cumulants")
+    spec = DistributionSpec(2, FreeFamily((POISSON_MOMENTS, POISSON_MOMENTS[:6])))
+    first = TraceFunctional(spec)
+    for k in range(1, 7):
+        first.moment((1,) * k)
+        first.moment((2,) * k)
+    assert inversions == []  # every one-letter word is a hit
+    assert first.moment((1, 2)) == Scalar(1)
+    assert len(inversions) == 2  # one inversion per letter
+    # the same key, and a smaller bound with a memo of its own: no inversion
+    for bound in (12, 4):
+        trace = TraceFunctional(spec, degree_bound=bound)
+        assert trace.moment((1, 2, 1, 2)) == first.moment((1, 2, 1, 2))
+    assert len(inversions) == 2
+    other = TraceFunctional(DistributionSpec(1, FreeFamily((POISSON_MOMENTS[:6],))))
+    other.moment((1,) * 3)
+    assert len(inversions) == 2
+    assert TraceFunctional(spec).symmetric_letters == ()
+    assert len(inversions) == 2
+
+
+def test_threads_filling_one_memo_read_the_cold_values():
+    spec = DistributionSpec(2, FreeFamily((BERNOULLI_MOMENTS, POISSON_MOMENTS)))
+    words = [word for k in range(9) for word in product((1, 2), repeat=k)]
+    cold = [TraceFunctional(spec).moment(word) for word in words]
+    ncfree.trace._shared_memo.cache_clear()
+    ncfree.trace._spec_cumulants.cache_clear()
+    results: dict[int, list] = {}
+
+    def run(index):
+        order = sorted(range(len(words)), key=lambda i: (i * (2 * index + 3)) % 97)
+        trace = TraceFunctional(spec)
+        values = {i: trace.moment(words[i]) for i in order}
+        results[index] = [values[i] for i in range(len(words))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(results) == [0, 1, 2, 3]
+    assert all(values == cold for values in results.values())
+
+
 def test_free_family_reproduces_its_own_moment_sequences():
     moments = ((Fraction(1), Fraction(3), Fraction(10)),)
     trace = TraceFunctional(DistributionSpec(1, FreeFamily(moments)))
@@ -360,6 +481,17 @@ def test_non_positive_table_is_rejected():
     trace = TraceFunctional(spec)
     with pytest.raises(NonPositiveMoments):
         trace.inner(NcPoly.gen(1, 1), NcPoly.gen(1, 1))
+
+
+def test_check_nonnegative_takes_zero_and_positive_reals_only():
+    for value in (Scalar(0), Scalar(Fraction(1, 3))):
+        assert check_nonnegative(value, "<p,p>") is value
+    for value in (Scalar(-1), Scalar(0, 1), Scalar(2, -1), Scalar(Fraction(-1, 2), 1)):
+        with pytest.raises(NonPositiveMoments) as info:
+            check_nonnegative(value, "<p,p>")
+        assert str(info.value) == (
+            f"<p,p> = {value} is not a nonnegative real; the moment data is not positive"
+        )
 
 
 def test_opnorm_lower_is_nondecreasing(semi1):
