@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def check_flags(args) -> None:
-    for flag in ("degree", "trials"):
+    for flag in ("degree", "trials", "seed"):
         value = getattr(args, flag, 0)
         if value < 0:
             raise ConfigError(f"--{flag} must be non-negative, got {value}")

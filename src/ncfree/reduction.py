@@ -59,12 +59,14 @@ def extract_leading_coeff(
 ) -> Scalar:
     """Iterate delta along `word` and return the surviving constant.
 
-    Requires len(word) == total_degree(p); for a shorter word lower-order
-    terms would contaminate the result, so that case is rejected.
+    Requires a nonzero p and len(word) == total_degree(p); for a shorter word
+    lower-order terms would contaminate the result, so that case is rejected.
     """
     word = tuple(word)
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no leading coefficient")
     degree = p.total_degree()
-    if p.is_zero() or len(word) != degree:
+    if len(word) != degree:
         raise ValueError(
             f"word length {len(word)} must equal the total degree {degree}"
         )

@@ -275,7 +275,9 @@ def _nc_moment(
 
     A block of k copies of letter i contributes cumulants[i - 1][k - 1], and
     no block of that letter is longer than its list.  Every subword met is
-    stored in `memo`, which must already hold tau() = 1.
+    stored in `memo`, which must already hold tau() = 1.  A word costs at
+    most (occurrences of its first letter + 1) x (its cumulant length) block
+    states, and each state scans the word once.
 
     `symmetric` lists letters whose odd cumulants are all zero.  A word with
     an odd count of one of them is 0, stored as such before any search.
@@ -299,28 +301,26 @@ def _nc_moment(
             return value
     letter = word[0]
     kappa = cumulants[letter - 1]
-    total = ZERO
-    # the block of position 0: positions 0 = p_0 < p_1 < ... < p_{m-1}
-    # with word[p_i] == letter; the gaps and the tail factorize.
-    def extend(start: int, block_size: int, acc: Scalar) -> None:
-        nonlocal total
-        # close the block: the tail word[start:] is a free factor
-        k = kappa[block_size - 1]
-        if k:
-            total = total + acc * k * _nc_moment(
-                word[start:], cumulants, memo, symmetric
-            )
-        if block_size == len(kappa):
-            return  # every longer block has a zero cumulant
-        for nxt in range(start, len(word)):
-            if word[nxt] == letter:
-                gap = _nc_moment(word[start:nxt], cumulants, memo, symmetric)
-                if gap:
-                    extend(nxt + 1, block_size + 1, acc * gap)
+    # the block of position 0: positions 0 = p_0 < p_1 < ... < p_{m-1} with
+    # word[p_i] == letter; the gaps and the tail factorize.  finish sums the
+    # ways to end a block of `size` elements whose last one sits at start - 1.
+    ends: dict[tuple[int, int], Scalar] = {}  # it depends on (start, size) alone
 
-    if kappa:  # otherwise the letter is the zero variable
-        extend(1, 1, ONE)
-    memo[word] = total
+    def finish(start: int, size: int) -> Scalar:
+        value = ends.get((start, size))
+        if value is None:
+            k = kappa[size - 1]  # close the block: word[start:] is a free factor
+            value = k * _nc_moment(word[start:], cumulants, memo, symmetric) if k else ZERO
+            if size < len(kappa):  # every longer block has a zero cumulant
+                for nxt in range(start, len(word)):
+                    if word[nxt] == letter:
+                        gap = _nc_moment(word[start:nxt], cumulants, memo, symmetric)
+                        if gap:
+                            value = value + gap * finish(nxt + 1, size + 1)
+            ends[start, size] = value
+        return value
+
+    total = memo[word] = finish(1, 1) if kappa else ZERO  # else the zero variable
     return total
 
 

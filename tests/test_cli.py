@@ -155,6 +155,14 @@ def test_reduce_rejects_short_word(semicircular_spec, capsys):
     assert code == 2
 
 
+def test_reduce_rejects_the_zero_polynomial(semicircular_spec, capsys):
+    code = main(["reduce", "--spec", semicircular_spec, "--poly", "0", "--word", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the zero polynomial has no leading coefficient\n"
+
+
 # -- relations --------------------------------------------------------------------
 
 
@@ -349,7 +357,7 @@ def test_margins_without_trials_is_strict_json(semicircular_spec, capsys):
         for tag, seed, message in [
             ({"kind": "diagonal-moments", "moments": [0, -1]}, "0",
              "moment sequence is not realized by any 1-point measure"),
-            ({"kind": "gue"}, "-1", "expected non-negative integer"),
+            ({"kind": "gue"}, "-1", "--seed must be non-negative, got -1"),
         ]
     ],
     ids=["spectrum-non-measure", "spectrum-negative-seed",
@@ -463,8 +471,11 @@ def test_output_file(semicircular_spec, tmp_path):
          "--trials must be non-negative"),
         # every duality trial draws a second word of at least one letter
         (["duality", "--degree", "0"], "--degree must be at least 1 for duality"),
+        # random.Random would fold it onto 1 (spectrum and margins: see
+        # test_sampling_error_is_a_usage_error)
+        (["duality", "--seed", "-1"], "--seed must be non-negative, got -1"),
     ],
-    ids=["argv0", "argv1", "argv2", "argv3"],
+    ids=["argv0", "argv1", "argv2", "argv3", "argv4"],
 )
 def test_negative_counts_are_usage_errors(semicircular_spec, capsys, argv, message):
     assert main(argv[:1] + ["--spec", semicircular_spec] + argv[1:]) == 2

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -299,6 +300,33 @@ def test_cumulants_are_inverted_once_per_family_on_a_miss(monkeypatch):
     assert len(inversions) == 2
     assert TraceFunctional(spec).symmetric_letters == ()
     assert len(inversions) == 2
+
+
+# -- cost and reach of the recursion ------------------------------------------
+
+
+def test_each_block_state_is_summed_once(monkeypatch):
+    """free-Poisson letters never stop their blocks, and their recursion calls
+    grow polynomially with the depth, not twofold with each occurrence."""
+    catalan = [math.comb(2 * k, k) // (k + 1) for k in range(1, 33)]
+    recursions = count_calls(monkeypatch, "_nc_moment")
+    assert free_cumulants(catalan[:16]) == [1] * 16
+    # 3,181 calls; a search over every subset of the block's positions made 131,039
+    assert len(recursions) <= 8_000
+    recursions.clear()
+    assert free_cumulants(catalan) == [1] * 32
+    assert len(recursions) <= 60_000  # 46,873
+    word = (1, 1, 2, 2) * 2
+    spec = DistributionSpec(2, FreeFamily((catalan[:24],) * 2))
+    assert TraceFunctional(spec, degree_bound=24).moment(word) == Scalar(96)
+    assert free_moment_oracle(word, ((1,) * 8,) * 2) == 96
+
+
+def test_a_400_letter_word_stays_within_the_recursion_limit():
+    # 606 frames deep: a cached wrapper around each block state would need
+    # about 1,000, past Python's default limit
+    trace = TraceFunctional(DistributionSpec.standard_semicircular(2), degree_bound=400)
+    assert trace.moment((1,) * 400) == Scalar(math.comb(400, 200) // 201)
 
 
 def test_threads_filling_one_memo_read_the_cold_values():
