@@ -7,15 +7,16 @@ timestamps and therefore byte-identical across reruns with the same seed.
 `main(argv)` returns the exit status and may be called many times in one
 process: the argument parser is built on the first call and reused, and no
 call sees another's flags.  Calls on one free distribution share its exact
-moment memo (`ncfree.trace`), so a later call reads the words an earlier one
-computed; calls on an explicit table do not.  argparse still raises
+moment memo (`ncfree.trace`) and the conjugate relations' left sides kept
+beside it, so a later call reads the words an earlier one computed; calls on
+an explicit table do not.  argparse still raises
 SystemExit(2) on a bad flag and SystemExit(0) on --help.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or configuration error, 3 internal error.  A negative --degree or
---trials, a duality --degree of 0, a --slack that is NaN or infinite, an
---out file that cannot be written, a spec file or a trace or ensemble
-section that is not a JSON object, a number with a zero denominator, an
+--trials, a duality --degree of 0 or on no generators, a --slack that is
+NaN or infinite, an --out file that cannot be written, a spec file or a
+trace or ensemble section that is not a JSON object, a number with a zero denominator, an
 inconsistent explicit moment table, an ensemble whose matrix count differs
 from the trace's generator count and a Gram matrix that is not positive
 semidefinite are usage errors (2), never a verification failure.  Any other exception is reported as an internal
@@ -47,6 +48,7 @@ from .errors import ConjugateCheckFailed, NcfreeError
 from .ncpoly import NcPoly
 from .randmat import RNG_NAME, EnsembleConfig, empirical_margins, sample, spectrum
 from .reduction import extract_leading_coeff, relation_kernel
+from .scalars import ONE
 from .sweeps import rand_nonzero_poly, rand_word
 from .trace import DEFAULT_DEGREE_BOUND, DistributionSpec, TraceFunctional, json_int
 
@@ -231,9 +233,11 @@ def cmd_verify_conjugate(args, data: dict) -> int:
 def cmd_duality(args, data: dict) -> int:
     trace = trace_from(data)
     n = trace.spec.n
+    # the second word of every trial has at least one letter
     if args.degree < 1:
-        # the second word of every trial has at least one letter
         raise ConfigError(f"--degree must be at least 1 for duality, got {args.degree}")
+    if n < 1:
+        raise ConfigError("duality needs at least one generator")
     # a trial reads tau(x y[:k]) with |x| <= degree and |y[:k]| < degree
     trace.check_sweep(2 * args.degree - 1)
     rng = random.Random(args.seed)
@@ -242,8 +246,9 @@ def cmd_duality(args, data: dict) -> int:
         w1 = rand_word(rng, n, args.degree)
         w2 = rand_word(rng, n, args.degree, min_len=1)
         i = rng.randint(1, n)
-        p1 = NcPoly.monomial(n, w1)
-        p2 = NcPoly.monomial(n, w2)
+        # the drawn words are valid by construction
+        p1 = NcPoly._trusted(n, {w1: ONE})
+        p2 = NcPoly._trusted(n, {w2: ONE})
         if not check_duality(trace, p1, p2, i):
             failures.append({"p1": p1.to_text(), "p2": p2.to_text(), "i": i})
     emit(

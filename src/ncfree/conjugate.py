@@ -12,10 +12,19 @@ with xi_j = sum_u c_u u, the relation is an identity between moments,
     sum over p with w[p] = j of tau(w[:p]) tau(w[p+1:]) = sum_u c_u tau(u w),
 
 so each side is a sum of moment lookups.  A word with an odd count of a
-symmetric letter (TraceFunctional.symmetric_letters) has moment 0, so a
-relation whose sides are 0 by that parity is skipped, and a term is added
-only when its factors are nonzero.  The moments are read straight from the
-trace's memo; a miss goes through TraceFunctional.moment.
+symmetric letter (TraceFunctional.symmetric_letters) has moment 0, and a
+term is added only when its factors are nonzero.  The sweep carries each
+word's parity mask as it walks the words, so a word on which every relation
+is 0 = 0 by parity is never built or looked up.  The moments are read
+straight from the trace's memo, a stored 0 included; a miss goes through
+TraceFunctional.moment.
+
+The left side at w depends on the distribution alone, not on the
+candidate.  It is summed once and kept beside the moment memo
+(trace.MomentMemo), so it is shared as the moments are: by every functional
+on one free distribution in the process, and per functional on a table.
+Another candidate, a report after a verification, or a deeper sweep reads
+it instead of summing the splits again.
 
 The relations have a reversal symmetry.  The generators are self-adjoint,
 so the adjoint w* of a word is its reversal, and a free family has
@@ -37,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
 from .derivations import check_index, d, d_leg_sum
 from .errors import ConjugateCheckFailed
@@ -102,8 +111,81 @@ class ConjugateCandidate:
         return [p.is_self_adjoint() for p in self.xi]
 
 
+def _mask(word: Word, bits: Sequence[int]) -> int:
+    total = 0
+    for letter in word:
+        total ^= bits[letter]
+    return total
+
+
+#: words are walked as a prefix times a suffix of up to this many letters
+SUFFIX_LETTERS = 3
+
+
+def _masked_words(
+    n: int, degree: int, bits: Sequence[int], wanted: Container[int]
+) -> Iterator[tuple[Word, int]]:
+    """(w, mask(w)) for the words w over 1..n of length 0..degree whose mask is
+    in `wanted`, shortest first and lexicographic within a length.
+
+    mask(w) is the XOR of bits[letter] over w.  A word is a prefix from
+    itertools.product times a suffix of up to SUFFIX_LETTERS letters; a
+    prefix's mask picks out the suffixes that give a wanted mask, so no
+    other word is built.
+    """
+    letters = range(1, n + 1)
+    suffixes = [
+        [(tail, _mask(tail, bits)) for tail in itertools.product(letters, repeat=size)]
+        for size in range(min(degree, SUFFIX_LETTERS) + 1)
+    ]
+    for length in range(degree + 1):
+        size = min(length, SUFFIX_LETTERS)
+        fitting: dict[int, list[tuple[Word, int]]] = {}
+        for prefix in itertools.product(letters, repeat=length - size):
+            head = _mask(prefix, bits)
+            tails = fitting.get(head)
+            if tails is None:
+                tails = fitting[head] = [
+                    (tail, head ^ tail_mask)
+                    for tail, tail_mask in suffixes[size]
+                    if head ^ tail_mask in wanted
+                ]
+            for tail, word_mask in tails:
+                yield prefix + tail, word_mask
+
+
+def _left_side(word: Word, j: int, bits: Sequence[int], trace: TraceFunctional) -> Scalar:
+    """(tau (x) tau)(d_j w) for a word of mask bits[j]: the sum over the splits
+    w = a Z_j b of tau(a) tau(b), skipping a head a of nonzero mask."""
+    cached = trace._memo.get
+    lhs = ZERO
+    head_mask = 0
+    for pos, letter in enumerate(word):
+        if letter == j and not head_mask:
+            head = word[:pos]
+            left = cached(head)
+            if left is None:
+                left = trace.moment(head)
+            if left:
+                tail = word[pos + 1:]
+                right = cached(tail)
+                if right is None:
+                    right = trace.moment(tail)
+                if right:
+                    lhs = lhs + left * right
+        head_mask ^= bits[letter]
+    return lhs
+
+
 def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport:
-    """Compare both sides of the conjugate relations on all words up to `degree`."""
+    """Compare both sides of the conjugate relations on all words up to `degree`.
+
+    Words are walked shortest first, in lexicographic order, and a word on
+    which every relation is 0 = 0 by parity is never built.  The left sides
+    are read from and added to the store beside the trace's moment memo
+    (`trace.MomentMemo`).  A failure is (j, w, lhs, rhs); the failures come
+    sorted by j, then length, then word.
+    """
     trace = cand.trace
     xi_degrees = [int(p.total_degree()) for p in cand.xi if not p.is_zero()]
     # the sweep's longest word: u w on the right, or a split's head or tail
@@ -117,45 +199,37 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
     bits = [0] * (cand.spec.n + 1)
     for letter in trace.symmetric_letters:
         bits[letter] = 1 << letter
-
-    def mask(word: Word) -> int:
-        total = 0
-        for letter in word:
-            total ^= bits[letter]
-        return total
-
-    xi_by_mask: list[dict[int, list]] = [{} for _ in cand.xi]
-    for by_mask, p in zip(xi_by_mask, cand.xi):
+    # a private plain copy of the memo keeps its left sides for this call only
+    store = getattr(trace._memo, "left_sides", {})
+    # word mask -> the relations not 0 = 0 there, as (j, the left sides of j,
+    # or None where parity makes the left side 0, the xi_j terms of that mask)
+    relations: dict[int, list] = {}
+    for j, p in enumerate(cand.xi, start=1):
+        by_mask: dict[int, list] = {}
         for u, coeff in p.terms.items():
-            by_mask.setdefault(mask(u), []).append((u, coeff))
+            by_mask.setdefault(_mask(u, bits), []).append((u, coeff))
+        for word_mask in {bits[j], *by_mask}:
+            sides = store.setdefault(j, {}) if word_mask == bits[j] else None
+            relations.setdefault(word_mask, []).append((j, sides, by_mask.get(word_mask, ())))
     mirror = trace.free and all(cand.self_adjointness())
     failures = []
-    for word in words_up_to(cand.spec.n, degree):
-        reverse = word[::-1]
-        if mirror and reverse < word:
-            continue  # added with the failures of its reversal
-        word_mask = mask(word)
-        for j, by_mask in enumerate(xi_by_mask, start=1):
-            terms = by_mask.get(word_mask, ())
-            split = word_mask == bits[j]
-            if not (split or terms):
-                continue  # 0 = 0
+    for word, word_mask in _masked_words(cand.spec.n, degree, bits, relations):
+        if mirror:
+            reverse = word[::-1]
+            if reverse < word:
+                continue  # added with the failures of its reversal
+        for j, sides, terms in relations[word_mask]:
             lhs = ZERO
-            head_mask = 0
-            for pos, letter in enumerate(word if split else ()):
-                if letter == j and not head_mask:
-                    head = word[:pos]
-                    left = cached(head) or moment(head)
-                    if left:
-                        tail = word[pos + 1:]
-                        right = cached(tail) or moment(tail)
-                        if right:
-                            lhs = lhs + left * right
-                head_mask ^= bits[letter]
+            if sides is not None:
+                lhs = sides.get(word)
+                if lhs is None:
+                    lhs = sides[word] = _left_side(word, j, bits, trace)
             rhs = ZERO
             for u, coeff in terms:
                 uw = u + word
-                value = cached(uw) or moment(uw)
+                value = cached(uw)
+                if value is None:
+                    value = moment(uw)
                 if value:
                     rhs = rhs + coeff * value
             if lhs != rhs:

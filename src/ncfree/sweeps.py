@@ -14,8 +14,14 @@ from .scalars import Scalar
 
 
 def rand_word(rng: random.Random, n: int, max_len: int, min_len: int = 0) -> Word:
+    """A word of min_len..max_len letters from 1..n.
+
+    Each letter is rng.choice over 1..n, one _randbelow(n) draw, the same
+    draw rng.randint(1, n) makes: a seed gives the words it always gave.
+    """
     length = rng.randint(min_len, max_len)
-    return tuple(rng.randint(1, n) for _ in range(length))
+    letters = range(1, n + 1)
+    return tuple(rng.choice(letters) for _ in range(length))
 
 
 def rand_scalar(rng: random.Random, complex_parts: bool = True) -> Scalar:

@@ -265,6 +265,34 @@ class DistributionSpec:
 # ---------------------------------------------------------------------------
 
 
+def least_rotation(word: Word) -> Word:
+    """The lexicographically least rotation of `word`, in linear time.
+
+    Two candidate starts i < j race along the doubled word: on the first
+    mismatch after k equal letters, every start in the loser's run of k + 1
+    can be no least rotation, so the loser jumps past it.  The least rotation
+    is the survivor once j runs off the word or k spans it (a periodic word).
+    """
+    length = len(word)
+    doubled = word + word
+    i, j, k = 0, 1, 0
+    while j < length and k < length:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return doubled[i:i + length]
+
+
 def _nc_moment(
     word: Word,
     cumulants: Sequence[Sequence[Scalar]],
@@ -295,7 +323,7 @@ def _nc_moment(
             memo[word] = ZERO
             return ZERO
     if len(word) >= 2:
-        key = min(word[shift:] + word[:shift] for shift in range(len(word)))
+        key = least_rotation(word)
         if key != word:
             value = memo[word] = _nc_moment(key, cumulants, memo, symmetric)
             return value
@@ -355,11 +383,27 @@ def check_nonnegative(value: Scalar, quantity: str) -> Scalar:
 SHARED_DISTRIBUTIONS = 8
 
 
+class MomentMemo(dict):
+    """word -> tau(word), and beside it what is summed from those moments alone.
+
+    `left_sides[j][w]` is (tau (x) tau)(d_j w), the left side of the conjugate
+    relation at w, which conjugate.check_conjugate fills.  It lives and is
+    cleared with the moments it is summed from; a plain dict copy of the memo
+    carries no left sides.
+    """
+
+    __slots__ = ("left_sides",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.left_sides: dict[int, dict[Word, Scalar]] = {}
+
+
 @functools.lru_cache(maxsize=SHARED_DISTRIBUTIONS)
-def _shared_memo(spec: DistributionSpec, max_word_length: int) -> dict[Word, Scalar]:
+def _shared_memo(spec: DistributionSpec, max_word_length: int) -> MomentMemo:
     """The memo that every TraceFunctional on the free family `spec` with this
     max_word_length fills, seeded with tau() = 1 and each letter's moments."""
-    memo = {(): ONE}
+    memo = MomentMemo({(): ONE})
     if isinstance(spec.variant, FreeFamily):
         for letter, seq in enumerate(spec.variant.moments, start=1):
             for k, m_k in enumerate(seq[:max_word_length], start=1):
@@ -393,7 +437,9 @@ class TraceFunctional:
     on one free family with one max_word_length share a memo in the process
     (`_shared_memo`), which starts with each letter's own moments, so the free
     cumulants are inverted only by a mixed-word miss or symmetric_letters, at
-    most once per family (`_spec_cumulants`).  A table keeps its own memo.
+    most once per family (`_spec_cumulants`).  The conjugate relations' left
+    sides are kept in the memo as well (`MomentMemo`), so they are shared the
+    same way.  A table keeps its own memo and left sides.
     """
 
     def __init__(self, spec: DistributionSpec, degree_bound: int = DEFAULT_DEGREE_BOUND):
@@ -417,7 +463,7 @@ class TraceFunctional:
         if self.free:
             self._memo = _shared_memo(spec, self.max_word_length)
         else:
-            self._memo = {(): ONE}
+            self._memo = MomentMemo({(): ONE})
             for word, value in variant.table.items():
                 if len(word) <= self.max_word_length:
                     self._memo[word] = value

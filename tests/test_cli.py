@@ -120,6 +120,15 @@ def test_duality_sweep(semicircular_spec, capsys):
     assert document["result"]["trials"] == 25
 
 
+def test_duality_on_no_generators_is_a_usage_error(tmp_path, capsys):
+    spec = tmp_path / "empty.json"
+    spec.write_text(json.dumps({"n": 0, "trace": {"variant": "semicircular", "variances": []}}))
+    assert main(["duality", "--spec", str(spec), "--trials", "3", "--degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duality needs at least one generator\n"
+
+
 # -- reduce ---------------------------------------------------------------------
 
 

@@ -1,9 +1,11 @@
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import ncfree
 from ncfree import (
     ConjugateCandidate,
     DistributionSpec,
@@ -31,7 +33,7 @@ from ncfree.errors import (
     UnknownMoment,
 )
 from ncfree.scalars import Scalar
-from ncfree.sweeps import rand_poly, rand_word
+from ncfree.sweeps import rand_poly, rand_self_adjoint, rand_word
 from ncfree.trace import ExplicitMoments, FreeFamily, SemicircularFamily
 
 from conftest import bernoulli_spec, gens
@@ -211,6 +213,122 @@ def test_parity_pruning_leaves_odd_words_out_of_the_memo():
     assert len(cand.trace._memo) == 131
 
 
+def _differential_cases():
+    """(name, spec, oracle moment of a word, sweep degree, xi degree)."""
+    variances_3 = (Fraction(1), Fraction(1, 2), Fraction(2))
+    mixed = DistributionSpec(2, FreeFamily((BERNOULLI_MOMENTS, CATALAN)))
+    # a table of a semicircular pair with variances 1 and 2: no parity rule,
+    # no mirror, and its left sides stay with its own functional
+    table = {
+        w: Scalar(semicircular_moment_oracle(w, (1, 2))) for w in words_up_to(2, 8)
+    }
+    return [
+        ("semicircular-2", DistributionSpec.standard_semicircular(2),
+         lambda w: semicircular_moment_oracle(w, (1, 1)), 6, 2),
+        ("semicircular-3", DistributionSpec(3, SemicircularFamily(variances_3)),
+         lambda w: semicircular_moment_oracle(w, variances_3), 6, 1),
+        ("bernoulli-and-free-poisson", mixed,
+         lambda w: free_moment_oracle(w, [BERNOULLI_CUMULANTS, [1] * 8]), 6, 1),
+        ("explicit-table", DistributionSpec(2, ExplicitMoments(table, 8)),
+         lambda w: table[w].re, 6, 2),
+    ]
+
+
+def _random_candidates(rng, n, xi_degree):
+    """Candidates with self-adjoint xi (the mirrored sweep), with xi that are
+    not, and with one xi_j zero; their terms have every parity mask."""
+    for shape in ("self-adjoint", "any", "self-adjoint-with-zero", "any-with-zero"):
+        for _ in range(2):
+            if shape.startswith("self-adjoint"):
+                xi = [rand_self_adjoint(rng, n, xi_degree) for _ in range(n)]
+            else:
+                xi = [rand_poly(rng, n, xi_degree, max_terms=4) for _ in range(n)]
+            if shape.endswith("with-zero"):
+                xi[rng.randrange(n)] = NcPoly.zero(n)
+            yield xi
+    yield gens(n)
+
+
+@pytest.mark.parametrize("case", _differential_cases(), ids=lambda case: case[0])
+def test_sweeps_cold_warm_and_the_oracle_agree(rng, case):
+    _, spec, oracle_moment, degree, xi_degree = case
+    moment = functools.cache(oracle_moment)
+    for xi in _random_candidates(rng, spec.n, xi_degree):
+        ncfree.trace._shared_memo.cache_clear()
+        ncfree.trace._spec_cumulants.cache_clear()
+        cand = ConjugateCandidate(xi, spec)
+        cold = check_conjugate(cand, degree).failures
+        warm = check_conjugate(cand, degree).failures
+        equal_spec = DistributionSpec.from_dict(spec.to_dict())
+        other = check_conjugate(ConjugateCandidate(xi, equal_spec), degree).failures
+        assert cold == warm == other
+        oracle_xi = [{u: (c.re, c.im) for u, c in p.terms.items()} for p in xi]
+        expected = conjugate_failures_oracle(oracle_xi, spec.n, degree, moment)
+        assert [
+            (j, word, (lhs.re, lhs.im), (rhs.re, rhs.im)) for j, word, lhs, rhs in cold
+        ] == expected
+
+
+def test_a_second_functional_on_an_equal_spec_sums_no_split(monkeypatch):
+    spec = DistributionSpec(2, FreeFamily((BERNOULLI_MOMENTS, CATALAN)))
+    z1, z2 = gens(2)
+    first = check_conjugate(ConjugateCandidate([z1, z2], spec), degree=6)
+    splits = []
+    original = ncfree.conjugate._left_side
+
+    def counting(word, *args):
+        splits.append(word)
+        return original(word, *args)
+
+    monkeypatch.setattr(ncfree.conjugate, "_left_side", counting)
+    equal_spec = DistributionSpec.from_dict(spec.to_dict())
+    again = check_conjugate(ConjugateCandidate([z1, z2], equal_spec), degree=6)
+    assert again == first and not again.passed
+    # a scaled candidate has the same left sides
+    scaled = check_conjugate(ConjugateCandidate([2 * z1, z2], equal_spec), degree=6)
+    assert splits == []
+    assert scaled.failures != first.failures
+    # a deeper sweep sums only the words of the new length
+    check_conjugate(ConjugateCandidate([z1, z2], equal_spec), degree=7)
+    assert splits and {len(word) for word in splits} == {7}
+
+
+def test_a_stored_zero_moment_is_a_hit(monkeypatch):
+    spec = DistributionSpec.standard_semicircular(2)
+    cold = check_conjugate(ConjugateCandidate(gens(2), spec), degree=6)
+    memo = TraceFunctional(spec)._memo
+    assert memo[(1, 2, 1, 2)] == Scalar(0)  # read at w = (2 1 2) for j = 1
+    calls = []
+    original = TraceFunctional.moment
+
+    def counting(self, word):
+        calls.append(word)
+        return original(self, word)
+
+    monkeypatch.setattr(TraceFunctional, "moment", counting)
+    assert check_conjugate(ConjugateCandidate(gens(2), spec), degree=6) == cold
+    assert calls == []
+
+
+def test_a_private_memo_copy_leaves_no_stale_left_side():
+    spec = DistributionSpec.standard_semicircular(2)
+    assert check_conjugate(ConjugateCandidate(gens(2), spec), degree=5).passed
+    # a wrong tau(1 1) = 2 goes into a private copy of the shared memo, as in
+    # test_duality_rejects_a_functional_without_the_star
+    cand = ConjugateCandidate(gens(2), spec)
+    cand.trace._memo = dict(cand.trace._memo)
+    cand.trace._memo[(1, 1)] = Scalar(2)
+    wrong = check_conjugate(cand, degree=5).failures
+    # its left sides are summed from the private moments, not read from the
+    # shared store: (tau (x) tau)(d_1 (1 1 1)) = 2 tau(1 1) = 4
+    assert (1, (1, 1, 1), Scalar(4), Scalar(2)) in wrong
+    # and none of them enters the shared store
+    assert check_conjugate(ConjugateCandidate(gens(2), spec), degree=5).passed
+    shared = TraceFunctional(spec)._memo
+    assert shared.left_sides[1][(1, 1, 1)] == Scalar(2)
+    assert shared[(1, 1)] == Scalar(1)
+
+
 def test_zero_sides_are_reported():
     cand = ConjugateCandidate(gens(2)[::-1], DistributionSpec.standard_semicircular(2))
     failures = check_conjugate(cand, degree=4).failures
@@ -347,6 +465,17 @@ def test_duality_random_polynomials(rng, trace2):
         p1 = rand_poly(rng, 2, 3)
         p2 = rand_poly(rng, 2, 3)
         assert check_duality(trace2, p1, p2, 1)
+
+
+def test_rand_word_draws_what_randint_draws():
+    for seed in range(50):
+        for n in (1, 2, 3, 5, 7):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                word = rand_word(rng, n, 6, min_len=1)
+                length = reference.randint(1, 6)
+                assert word == tuple(reference.randint(1, n) for _ in range(length))
+            assert rng.getstate() == reference.getstate()
 
 
 @functools.cache

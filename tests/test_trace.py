@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -7,7 +8,14 @@ from itertools import product
 import pytest
 
 import ncfree
-from ncfree import DistributionSpec, NcPoly, TensorPoly2, TraceFunctional
+from ncfree import (
+    ConjugateCandidate,
+    DistributionSpec,
+    NcPoly,
+    TensorPoly2,
+    TraceFunctional,
+    check_conjugate,
+)
 from ncfree.errors import DegreeBoundExceeded, NonPositiveMoments, UnknownMoment
 from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_poly
@@ -18,6 +26,7 @@ from ncfree.trace import (
     SemicircularFamily,
     check_nonnegative,
     free_cumulants,
+    least_rotation,
 )
 
 from conftest import bernoulli_spec, gens
@@ -280,6 +289,21 @@ def test_shared_memos_are_bounded():
     assert trace.moment((1,) * 4) == Scalar(2)
 
 
+def test_left_sides_live_and_are_cleared_with_the_shared_memo():
+    spec = DistributionSpec.standard_semicircular(2)
+    cand = ConjugateCandidate(gens(2), spec)
+    assert check_conjugate(cand, degree=5).passed
+    memo = TraceFunctional(DistributionSpec.from_dict(spec.to_dict()))._memo
+    assert memo is cand.trace._memo
+    # (tau (x) tau)(d_1 (1 1 1)) = tau() tau(1 1) + tau(1 1) tau()
+    assert memo.left_sides[1][(1, 1, 1)] == Scalar(2)
+    # the test isolation fixture clears the memo, and the left sides with it
+    ncfree.trace._shared_memo.cache_clear()
+    fresh = TraceFunctional(spec)._memo
+    assert fresh is not memo
+    assert fresh == {(): Scalar(1)} and fresh.left_sides == {}
+
+
 def test_cumulants_are_inverted_once_per_family_on_a_miss(monkeypatch):
     inversions = count_calls(monkeypatch, "free_cumulants")
     spec = DistributionSpec(2, FreeFamily((POISSON_MOMENTS, POISSON_MOMENTS[:6])))
@@ -320,6 +344,23 @@ def test_each_block_state_is_summed_once(monkeypatch):
     spec = DistributionSpec(2, FreeFamily((catalan[:24],) * 2))
     assert TraceFunctional(spec, degree_bound=24).moment(word) == Scalar(96)
     assert free_moment_oracle(word, ((1,) * 8,) * 2) == 96
+
+
+def test_least_rotation_is_the_least_of_all_rotations():
+    def by_rotations(word):
+        return min(word[shift:] + word[:shift] for shift in range(len(word)))
+
+    rng = random.Random(5)
+    words = [
+        tuple(rng.randint(1, n) for _ in range(rng.randint(1, 40)))
+        for n in (1, 2, 3)
+        for _ in range(300)
+    ]
+    for k in range(1, 25):
+        words += [(1,) * k, (1, 2) * k, (1, 2, 2, 1) * k, (2, 1, 1, 2) * k, (2, 1) * k]
+    for word in words:
+        assert least_rotation(word) == by_rotations(word), word
+    assert least_rotation(()) == ()
 
 
 def test_a_400_letter_word_stays_within_the_recursion_limit():
