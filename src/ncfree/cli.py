@@ -241,11 +241,12 @@ def cmd_duality(args, data: dict) -> int:
     # a trial reads tau(x y[:k]) with |x| <= degree and |y[:k]| < degree
     trace.check_sweep(2 * args.degree - 1)
     rng = random.Random(args.seed)
+    below = rng._randbelow  # the draw rng.randint(1, n) makes, as in rand_word
     failures = []
     for _ in range(args.trials):
         w1 = rand_word(rng, n, args.degree)
         w2 = rand_word(rng, n, args.degree, min_len=1)
-        i = rng.randint(1, n)
+        i = 1 + below(n)
         # the drawn words are valid by construction
         p1 = NcPoly._trusted(n, {w1: ONE})
         p2 = NcPoly._trusted(n, {w2: ONE})

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Container, Iterator, Sequence
 
 from .derivations import check_index, d, d_leg_sum
-from .errors import ConjugateCheckFailed
+from .errors import ConjugateCheckFailed, UnknownMoment
 from .ncpoly import NcPoly, Word
 from .scalars import ZERO, Scalar
 from .tensor import TensorPoly2
@@ -273,24 +273,43 @@ def check_duality(
 
     A moment identity: for P1 = sum a x, P2 = sum b y and each y[k] = i, with
     v = x y[:k], the left side has conj(a b tau(v)) and the right side
-    conj(a b) tau(v*) at the word rev(y[k+1:]).  tau(v) and tau(v*) are
-    looked up apart, so a functional with tau(v*) != conj tau(v) fails.
+    conj(a b) tau(v*) at the word rev(y[k+1:]).  tau(v) and tau(v*) are read
+    apart, from the trace's memo or through TraceFunctional.moment on a miss,
+    so a functional with tau(v*) != conj tau(v) fails.  Only where the two
+    differ is the coefficient conj(a b) (conj tau(v) - tau(v*)) formed.
     """
     check_index(i, p2.n)
     p2._check_compatible(p1)
-    terms = [
-        ((a * b).conjugate(), x + y[:k], y[k + 1:][::-1])
-        for x, a in p1.terms.items()
-        for y, b in p2.terms.items()
-        for k, letter in enumerate(y)
-        if letter == i
-    ]
-    conj_taus = [trace.moment(v).conjugate() for _, v, _ in terms]
-    stars = [trace.moment(v[::-1]) for _, v, _ in reversed(terms)][::-1]
+    moment = trace.moment
+    cached = trace._memo.get
+    # a table lacking tau(v*) raises once every tau(v) is read, for the last
+    # such term: what reading all tau(v), then all tau(v*) from the last term
+    # back, meets first
+    missing = None
     difference: dict[Word, Scalar] = {}
-    for (coeff, _, key), tau, star in zip(terms, conj_taus, stars):
-        if tau != star:
-            difference[key] = difference.get(key, ZERO) + coeff * (tau - star)
+    for x, a in p1.terms.items():
+        for y, b in p2.terms.items():
+            for k, letter in enumerate(y):
+                if letter != i:
+                    continue
+                v = x + y[:k]
+                tau = cached(v)
+                if tau is None:
+                    tau = moment(v)
+                star = cached(v[::-1])
+                if star is None:
+                    try:
+                        star = moment(v[::-1])
+                    except UnknownMoment:
+                        missing = v[::-1]
+                        continue
+                tau = tau.conjugate()
+                if tau != star:
+                    key = y[k + 1:][::-1]
+                    value = (a * b).conjugate() * (tau - star)
+                    difference[key] = difference.get(key, ZERO) + value
+    if missing is not None:
+        moment(missing)
     return not any(difference.values())
 
 

@@ -114,6 +114,8 @@ class Scalar:
         return _lowest((a * c + b * f) * e, (b * c - a * f) * e, d * norm)
 
     def conjugate(self) -> "Scalar":
+        if not self._im:
+            return self  # immutable, so a real scalar is its own conjugate
         return _triple(self._re, -self._im, self._den)
 
     def abs2(self) -> Fraction:

@@ -16,12 +16,16 @@ from .scalars import Scalar
 def rand_word(rng: random.Random, n: int, max_len: int, min_len: int = 0) -> Word:
     """A word of min_len..max_len letters from 1..n.
 
-    Each letter is rng.choice over 1..n, one _randbelow(n) draw, the same
-    draw rng.randint(1, n) makes: a seed gives the words it always gave.
+    The length is min_len + _randbelow(max_len - min_len + 1) and each letter
+    is 1 + _randbelow(n): the draws rng.randint(min_len, max_len) and
+    rng.randint(1, n) make on CPython 3.10-3.13, so a seed gives the words it
+    always gave.  An empty range raises ValueError before any draw, since
+    _randbelow loops forever on a width below 1.
     """
-    length = rng.randint(min_len, max_len)
-    letters = range(1, n + 1)
-    return tuple(rng.choice(letters) for _ in range(length))
+    if n < 1 or min_len > max_len:
+        raise ValueError(f"no word of {min_len}..{max_len} letters from 1..{n}")
+    below = rng._randbelow
+    return tuple([1 + below(n) for _ in range(min_len + below(max_len - min_len + 1))])
 
 
 def rand_scalar(rng: random.Random, complex_parts: bool = True) -> Scalar:

@@ -129,6 +129,46 @@ def test_duality_on_no_generators_is_a_usage_error(tmp_path, capsys):
     assert captured.err == "error: duality needs at least one generator\n"
 
 
+def test_duality_sweep_checks_the_trials_randint_and_choice_draw(tmp_path, monkeypatch, capsys):
+    """Every seed's trials are the (w1, w2, i) that rng.randint and rng.choice
+    draw, each checked once, and the generator ends in the same state."""
+    checked, generators = [], []
+
+    def recording_check(trace, p1, p2, i):
+        [w1], [w2] = p1.terms, p2.terms
+        checked.append((w1, w2, i))
+        return check_duality(trace, p1, p2, i)
+
+    def recording_random(seed):
+        generators.append(random.Random(seed))
+        return generators[-1]
+
+    check_duality = ncfree.cli.check_duality
+    monkeypatch.setattr(ncfree.cli, "check_duality", recording_check)
+    monkeypatch.setattr(ncfree.cli, "random", argparse.Namespace(Random=recording_random))
+    trials, degree = 12, 3
+    for n in (1, 2, 3):
+        spec = tmp_path / f"semicircular-{n}.json"
+        spec.write_text(json.dumps(
+            {"n": n, "trace": {"variant": "semicircular", "variances": ["1"] * n}}
+        ))
+        letters = range(1, n + 1)
+        for seed in range(21):
+            checked.clear()
+            argv = ["duality", "--spec", str(spec), "--trials", str(trials),
+                    "--degree", str(degree), "--seed", str(seed)]
+            assert main(argv) == 0
+            capsys.readouterr()
+            reference = random.Random(seed)
+            expected = []
+            for _ in range(trials):
+                w1 = tuple(reference.choice(letters) for _ in range(reference.randint(0, degree)))
+                w2 = tuple(reference.choice(letters) for _ in range(reference.randint(1, degree)))
+                expected.append((w1, w2, reference.randint(1, n)))
+            assert checked == expected
+            assert generators[-1].getstate() == reference.getstate()
+
+
 # -- reduce ---------------------------------------------------------------------
 
 

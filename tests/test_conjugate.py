@@ -478,6 +478,16 @@ def test_rand_word_draws_what_randint_draws():
             assert rng.getstate() == reference.getstate()
 
 
+
+def test_rand_word_rejects_an_empty_range_before_any_draw():
+    rng = random.Random(3)
+    state = rng.getstate()
+    # at n = 0 a drawn length of 0 once gave (), and any other an IndexError
+    for n, max_len, min_len in [(0, 4, 0), (0, 4, 1), (-1, 2, 0), (2, 3, 4), (2, -1, 0)]:
+        with pytest.raises(ValueError):
+            rand_word(rng, n, max_len, min_len)
+        assert rng.getstate() == state
+
 @functools.cache
 def _duality_specs():
     """Four families with moments of words up to 7 letters, the longest
@@ -551,6 +561,32 @@ def test_duality_raises_what_the_oracle_raises():
             raised.append(str(info.value))
         assert raised[0] == raised[1]
 
+
+
+def test_duality_on_a_table_names_the_missing_word_it_always_named():
+    """Reading every tau(v) first, then each tau(v*) from the last term back."""
+    semicircular = TraceFunctional(DistributionSpec.standard_semicircular(2))
+    full = {w: semicircular.moment(w) for w in words_up_to(2, 4)}
+    z1, z2 = gens(2)
+    one_term = (z1 * z2, z2 * z1)
+    # v = (1 2) and (1 2 1 2) for x = (1 2), y = (1 2 1); (2 1) for x = (2), y = (1)
+    three_terms = (z1 * z2 + z2, z1 * z2 * z1 + z2 * z1)
+    cases = [
+        # tau(v) listed, tau(v*) missing, and the reverse; v = (1 2 2)
+        ({(2, 2, 1)}, one_term, (2, 2, 1)),
+        ({(1, 2, 2)}, one_term, (1, 2, 2)),
+        # a later tau(v) is read before an earlier tau(v*)
+        ({(2, 1), (1, 2, 1, 2)}, three_terms, (1, 2, 1, 2)),
+        # of two missing tau(v*), the later term's
+        ({(2, 1), (2, 1, 2, 1)}, three_terms, (2, 1, 2, 1)),
+        ({(1, 2), (2, 1, 2, 1)}, three_terms, (1, 2)),
+    ]
+    for missing, (p1, p2), named in cases:
+        table = {w: m for w, m in full.items() if w not in missing}
+        trace = TraceFunctional(DistributionSpec(2, ExplicitMoments(table, 4)))
+        with pytest.raises(UnknownMoment) as info:
+            check_duality(trace, p1, p2, 1)
+        assert str(info.value) == f"no table entry for word {named}"
 
 # -- norm margins --------------------------------------------------------------------
 

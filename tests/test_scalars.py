@@ -33,6 +33,17 @@ def test_conjugation_is_multiplicative(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
 
+@given(fractions, fractions)
+def test_a_real_scalar_is_its_own_conjugate(re, im):
+    real = Scalar(re)
+    assert real.conjugate() is real
+    z = Scalar(re, im)
+    conj = z.conjugate()
+    assert (conj.re, conj.im) == (re, -im)
+    assert conj == Scalar(re, -im) and hash(conj) == hash(Scalar(re, -im))
+    assert conj.conjugate() == z and hash(conj.conjugate()) == hash(z)
+
+
 @given(scalars)
 def test_text_round_trip(a):
     assert Scalar.parse(str(a)) == a

@@ -33,6 +33,8 @@ def test_tracer_plans_every_traced_method(monkeypatch):
         (ncfree.cli, "empirical_margins"),
         (ncfree.reduction, "gram_matrix"),
         (ncfree.conjugate, "check_conjugate"),
+        (ncfree.conjugate, "check_duality"),
+        (ncfree.cli, "check_duality"),
     ]:
         assert binding in patched
     # planning leaves the classes as they were
