@@ -7,10 +7,13 @@ timestamps and therefore byte-identical across reruns with the same seed.
 `main(argv)` returns the exit status and may be called many times in one
 process: the argument parser is built on the first call and reused, and no
 call sees another's flags.  Calls on one free distribution share its exact
-moment memo (`ncfree.trace`) and the conjugate relations' left sides kept
-beside it, so a later call reads the words an earlier one computed; calls on
-an explicit table do not.  argparse still raises
-SystemExit(2) on a bad flag and SystemExit(0) on --help.
+moment memo (`ncfree.trace`), and beside it the conjugate relations' left
+sides and the free-family certificate of `relations`, so a later call reads
+the words and verdicts an earlier one computed; calls on an explicit table
+do not.  Calls on one spec file text share the DistributionSpec parsed from
+it (`distribution_from`); the file is still read and hashed on every call, so
+an edited file is parsed again.  The first call pays for all of this in full.
+argparse still raises SystemExit(2) on a bad flag and SystemExit(0) on --help.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or configuration error, 3 internal error.  A negative --degree or
@@ -18,8 +21,9 @@ Exit codes: 0 success / all checks passed, 1 verification failure,
 NaN or infinite, an --out file that cannot be written, a spec file or a
 trace or ensemble section that is not a JSON object, a number with a zero denominator, an
 inconsistent explicit moment table, an ensemble whose matrix count differs
-from the trace's generator count and a Gram matrix that is not positive
-semidefinite are usage errors (2), never a verification failure.  Any other exception is reported as an internal
+from the trace's generator count, a Gram matrix that is not positive
+semidefinite and a free-family word too long for the moment recursion to
+nest are usage errors (2), never a verification failure.  Any other exception is reported as an internal
 error (3): an `internal error:` line and the traceback go to stderr.
 """
 
@@ -50,7 +54,13 @@ from .randmat import RNG_NAME, EnsembleConfig, empirical_margins, sample, spectr
 from .reduction import extract_leading_coeff, relation_kernel
 from .scalars import ONE
 from .sweeps import rand_nonzero_poly, rand_word
-from .trace import DEFAULT_DEGREE_BOUND, DistributionSpec, TraceFunctional, json_int
+from .trace import (
+    DEFAULT_DEGREE_BOUND,
+    SHARED_DISTRIBUTIONS,
+    DistributionSpec,
+    TraceFunctional,
+    json_int,
+)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -92,15 +102,32 @@ def spec_section(data: dict, name: str) -> dict:
     return dict(section)
 
 
+#: spec-file digest -> the DistributionSpec parsed from that file text, oldest first
+_parsed_specs: dict[str, DistributionSpec] = {}
+
+
 def distribution_from(data: dict) -> DistributionSpec:
-    section = spec_section(data, "trace")
-    section.setdefault("n", data.get("n"))
-    if section["n"] is None:
-        raise ConfigError("spec file is missing the generator count 'n'")
-    try:
-        return DistributionSpec.from_dict(section)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad trace section: {exc}") from exc
+    """The spec file's distribution, parsed once per file text in the process.
+
+    It is keyed by the text's sha256 (`load_spec_file`), so a file edited
+    between calls is parsed again, and a spec that fails to parse is never
+    kept.  At most SHARED_DISTRIBUTIONS texts are kept; the oldest goes first.
+    """
+    digest = data["_digest"]
+    spec = _parsed_specs.get(digest)
+    if spec is None:
+        section = spec_section(data, "trace")
+        section.setdefault("n", data.get("n"))
+        if section["n"] is None:
+            raise ConfigError("spec file is missing the generator count 'n'")
+        try:
+            spec = DistributionSpec.from_dict(section)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"bad trace section: {exc}") from exc
+        if len(_parsed_specs) >= SHARED_DISTRIBUTIONS:
+            del _parsed_specs[next(iter(_parsed_specs))]
+        _parsed_specs[digest] = spec
+    return spec
 
 
 def ensemble_from(data: dict, seed: int) -> EnsembleConfig:

@@ -218,11 +218,24 @@ def free_family_certified(trace: TraceFunctional, degree: int) -> bool:
     False for an explicit table, for a degree whose words reach past a depth
     limit, and for a singular or indefinite Hankel matrix: those cases are
     left to the Gram matrix, which finds the witnesses or the error.
+
+    The verdict depends on the family and the degree alone, so it is kept in
+    the shared memo's `certified` store: the first call at a degree runs the
+    per-letter test, and later calls in the process read it.  The two early
+    False answers store nothing.
     """
     if not trace.free:
         return False
     if not 0 <= 2 * degree <= trace.max_word_length:
         return False
+    certified = trace._memo.certified
+    if degree not in certified:
+        certified[degree] = _letters_positive(trace, degree)
+    return certified[degree]
+
+
+def _letters_positive(trace: TraceFunctional, degree: int) -> bool:
+    """True if each letter's Hankel pivots h_0..h_degree are positive reals."""
     for letter in range(1, trace.spec.n + 1):
         moments = [trace.moment((letter,) * k) for k in range(2 * degree + 1)]
         if not all(h.is_positive() for h, _ in jacobi(moments)):

@@ -384,19 +384,23 @@ SHARED_DISTRIBUTIONS = 8
 
 
 class MomentMemo(dict):
-    """word -> tau(word), and beside it what is summed from those moments alone.
+    """word -> tau(word), and beside it what is computed from those moments alone.
 
     `left_sides[j][w]` is (tau (x) tau)(d_j w), the left side of the conjugate
-    relation at w, which conjugate.check_conjugate fills.  It lives and is
-    cleared with the moments it is summed from; a plain dict copy of the memo
-    carries no left sides.
+    relation at w, which conjugate.check_conjugate fills.  `certified[d]` is
+    the per-letter Hankel verdict of reduction.free_family_certified at
+    degree d, which that function fills the first time it is asked.  Both
+    live and are cleared with the moments they come from, so the first call
+    on a family pays in full and later calls in the process read them; a
+    plain dict copy of the memo carries neither.
     """
 
-    __slots__ = ("left_sides",)
+    __slots__ = ("left_sides", "certified")
 
     def __init__(self, *args):
         super().__init__(*args)
         self.left_sides: dict[int, dict[Word, Scalar]] = {}
+        self.certified: dict[int, bool] = {}
 
 
 @functools.lru_cache(maxsize=SHARED_DISTRIBUTIONS)
@@ -438,8 +442,13 @@ class TraceFunctional:
     (`_shared_memo`), which starts with each letter's own moments, so the free
     cumulants are inverted only by a mixed-word miss or symmetric_letters, at
     most once per family (`_spec_cumulants`).  The conjugate relations' left
-    sides are kept in the memo as well (`MomentMemo`), so they are shared the
-    same way.  A table keeps its own memo and left sides.
+    sides and the free-family certificate's per-degree verdicts are kept in
+    the memo as well (`MomentMemo`), so they are shared the same way: the
+    first call on a family pays in full, later ones in the process read them.
+    A table keeps its own memo and left sides, and is never certified.
+
+    A free-family word too long for the recursion to nest raises
+    DegreeBoundExceeded, as a word past the degree bound does.
     """
 
     def __init__(self, spec: DistributionSpec, degree_bound: int = DEFAULT_DEGREE_BOUND):
@@ -503,7 +512,14 @@ class TraceFunctional:
         if value is None:
             if not self.free:
                 raise UnknownMoment(f"no table entry for word {word}")
-            value = _nc_moment(word, self._cumulants, self._memo, self.symmetric_letters)
+            try:
+                value = _nc_moment(word, self._cumulants, self._memo, self.symmetric_letters)
+            except RecursionError:
+                # a subword enters the memo only once summed, so it stays exact
+                raise DegreeBoundExceeded(
+                    f"word length {len(word)} exceeds the reach of the moment "
+                    f"recursion under the recursion limit {sys.getrecursionlimit()}"
+                ) from None
         return value
 
     # -- linear extensions --------------------------------------------------

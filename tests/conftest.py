@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ncfree
+import ncfree.cli
 from ncfree import DistributionSpec, NcPoly, TraceFunctional
 from ncfree.scalars import Scalar
 from ncfree.trace import ExplicitMoments
@@ -14,10 +15,12 @@ from ncfree.trace import ExplicitMoments
 
 @pytest.fixture(autouse=True)
 def cold_moment_caches():
-    """Start each test from empty shared moment memos and cumulants, as a new
-    process does, so no test reads words another one computed or wrote."""
+    """Start each test from empty shared moment memos, cumulants and parsed
+    specs, as a new process does, so no test reads what another one computed
+    or wrote."""
     ncfree.trace._shared_memo.cache_clear()
     ncfree.trace._spec_cumulants.cache_clear()
+    ncfree.cli._parsed_specs.clear()
 
 
 @pytest.fixture

@@ -953,6 +953,67 @@ def test_in_process_calls_do_not_leak_state(tmp_path, capsys):
         assert payload == fresh_payload, argv
 
 
+def write_semicircular(path, variances):
+    path.write_text(json.dumps(
+        {"n": len(variances), "trace": {"variant": "semicircular", "variances": variances}}
+    ))
+    return str(path)
+
+
+def test_calls_on_one_spec_text_share_one_parsed_spec(tmp_path, capsys, monkeypatch):
+    traced = []
+    original = ncfree.cli.relation_kernel
+
+    def recording(trace, degree):
+        traced.append(trace.spec)
+        return original(trace, degree)
+
+    monkeypatch.setattr(ncfree.cli, "relation_kernel", recording)
+    spec = write_semicircular(tmp_path / "spec.json", ["1", "1/2"])
+    for degree in ("1", "2"):
+        assert main(["relations", "--spec", spec, "--degree", degree]) == 0
+    capsys.readouterr()
+    assert len(traced) == 2 and traced[0] is traced[1]
+    assert list(ncfree.cli._parsed_specs.values()) == [traced[0]]
+
+
+def test_an_edited_spec_file_is_parsed_again(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    argv = ["verify-conjugate", "--spec", str(path), "--xi", "1 * Z 1;1 * Z 2"]
+    write_semicircular(path, ["1", "1"])
+    assert main(argv) == 0
+    capsys.readouterr()
+    # xi = Z_j is conjugate only at variance 1
+    write_semicircular(path, ["2", "2"])
+    assert main(argv) == 1
+    warm = comparable(capsys.readouterr().out)
+    assert len(ncfree.cli._parsed_specs) == 2
+    ncfree.cli._parsed_specs.clear()
+    ncfree.trace._shared_memo.cache_clear()
+    assert main(argv) == 1
+    assert comparable(capsys.readouterr().out) == warm
+
+
+def test_a_bad_spec_fails_on_every_call_and_is_not_kept(tmp_path, capsys):
+    spec = write_semicircular(tmp_path / "bad.json", ["1", "1/0"])
+    for _ in range(2):
+        code, err = run_for_error(capsys, ["relations", "--spec", spec, "--degree", "1"])
+        assert (code, err) == (2, "error: bad trace section: number '1/0' has a zero denominator")
+    assert ncfree.cli._parsed_specs == {}
+
+
+def test_the_parsed_spec_store_is_bounded(tmp_path, capsys):
+    bound = ncfree.trace.SHARED_DISTRIBUTIONS
+    specs = [write_semicircular(tmp_path / f"spec-{k}.json", [str(k + 1)]) for k in range(bound + 3)]
+    digests = []
+    for spec in specs + specs[:1]:
+        assert main(["relations", "--spec", spec, "--degree", "1"]) == 0
+        digests.append(json.loads(capsys.readouterr().out)["metadata"]["spec_digest"])
+        assert len(ncfree.cli._parsed_specs) <= bound
+    # the oldest texts went first, and the first one was parsed again
+    assert list(ncfree.cli._parsed_specs) == digests[-bound:]
+
+
 # -- word length, checked once at the boundary ---------------------------------------
 
 BENCH_SPECS = Path(__file__).resolve().parent.parent / "perfbench" / "specs"
@@ -1022,3 +1083,17 @@ def test_verify_conjugate_past_the_limit_keeps_its_message(
         spec.write_text(json.dumps({"n": 2, "trace": {"variant": "free", "moments": moments}}))
     argv = ["verify-conjugate", "--spec", str(spec), "--xi", xi, "--degree", str(degree)]
     assert run_for_error(capsys, argv) == (2, f"error: {message}")
+
+
+def test_a_word_past_the_recursion_reach_is_a_usage_error(tmp_path, capsys):
+    spec = tmp_path / "deep.json"
+    spec.write_text(json.dumps({
+        "n": 1,
+        "degree_bound": 700,
+        "trace": {"variant": "semicircular", "variances": ["1"]},
+    }))
+    xi = "1 * Z" + " 1" * 700
+    argv = ["verify-conjugate", "--spec", str(spec), "--xi", xi, "--degree", "0"]
+    code, err = run_for_error(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: word length 700 exceeds the reach of the moment recursion")

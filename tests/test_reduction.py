@@ -4,6 +4,7 @@ from itertools import islice
 
 import pytest
 
+import ncfree.reduction
 import ncfree.trace
 from ncfree import DistributionSpec, NcPoly, TraceFunctional
 from ncfree.errors import DegreeBoundExceeded, NonPositiveMoments
@@ -364,6 +365,68 @@ def test_certificate_matches_the_gram_kernel(name):
         kernel = relation_kernel(TraceFunctional(spec), degree)
         assert kernel == gram_kernel(TraceFunctional(spec), degree), degree
         assert (kernel == []) == free_of_relations, degree
+
+
+def test_stored_certificates_match_a_fresh_memo_in_any_order():
+    for name, (spec, _) in CROSS_CHECK_SPECS.items():
+        degrees = list(range(4 if spec.n == 3 else 5))
+        fresh = {}
+        for degree in degrees:
+            ncfree.trace._shared_memo.cache_clear()
+            fresh[degree] = free_family_certified(TraceFunctional(spec), degree)
+        ncfree.trace._shared_memo.cache_clear()
+        for degree in degrees[::-1] + degrees:
+            assert free_family_certified(TraceFunctional(spec), degree) == fresh[degree], (
+                name, degree)
+        assert TraceFunctional(spec)._memo.certified == fresh, name
+
+
+def test_a_family_is_certified_once_per_degree(monkeypatch):
+    calls = []
+    original = ncfree.reduction.jacobi
+
+    def counting(moments):
+        calls.append(len(moments))
+        return original(moments)
+
+    monkeypatch.setattr(ncfree.reduction, "jacobi", counting)
+    spec = free(CATALAN, SHIFTED_SEMICIRCULAR)
+    assert free_family_certified(TraceFunctional(spec), 3)
+    assert calls == [7, 7]  # one Hankel test per letter
+    assert free_family_certified(TraceFunctional(spec), 3)
+    assert relation_kernel(TraceFunctional(spec), 3) == []
+    assert calls == [7, 7]
+    assert free_family_certified(TraceFunctional(spec), 2)
+    assert calls == [7, 7, 5, 5]
+    # a failing verdict is kept as well: Bernoulli's h_2 is 0
+    bernoulli = free(BERNOULLI, CATALAN)
+    for _ in range(2):
+        assert not free_family_certified(TraceFunctional(bernoulli), 2)
+    assert calls == [7, 7, 5, 5, 5]
+
+
+def test_tables_and_degrees_past_the_limits_store_no_certificate():
+    table = TraceFunctional(bernoulli_spec())
+    assert not free_family_certified(table, 1)
+    assert table._memo.certified == {}
+    trace = TraceFunctional(DistributionSpec.standard_semicircular(2), degree_bound=5)
+    for degree in (-1, 3, 40):
+        assert not free_family_certified(trace, degree)
+    assert trace._memo.certified == {}
+    assert free_family_certified(trace, 2)
+    assert trace._memo.certified == {2: True}
+
+
+def test_certificates_live_and_are_cleared_with_the_shared_memo():
+    spec = free(CATALAN, CATALAN)
+    assert relation_kernel(TraceFunctional(spec), 2) == []
+    memo = TraceFunctional(DistributionSpec.from_dict(spec.to_dict()))._memo
+    assert memo.certified == {2: True}
+    # the test isolation fixture clears the memo, and the certificates with it
+    ncfree.trace._shared_memo.cache_clear()
+    fresh = TraceFunctional(spec)._memo
+    assert fresh is not memo
+    assert fresh.certified == {}
 
 
 def test_bernoulli_witness_is_found_through_a_free_family():

@@ -29,7 +29,7 @@ from ncfree.trace import (
     least_rotation,
 )
 
-from conftest import bernoulli_spec, gens
+from conftest import bernoulli_spec, gens, run_python
 from oracles import (
     free_moment_oracle,
     moments_from_cumulants_oracle,
@@ -368,6 +368,29 @@ def test_a_400_letter_word_stays_within_the_recursion_limit():
     # about 1,000, past Python's default limit
     trace = TraceFunctional(DistributionSpec.standard_semicircular(2), degree_bound=400)
     assert trace.moment((1,) * 400) == Scalar(math.comb(400, 200) // 201)
+
+
+def test_a_word_past_the_recursion_reach_is_a_degree_error():
+    # a new interpreter, whose stack starts as shallow as the CLI's: 640
+    # letters fit under the default recursion limit, 700 do not
+    script = (
+        "import math\n"
+        "from ncfree import DistributionSpec, TraceFunctional\n"
+        "from ncfree.errors import DegreeBoundExceeded\n"
+        "trace = TraceFunctional(DistributionSpec.standard_semicircular(1), 700)\n"
+        "try:\n"
+        "    trace.moment((1,) * 700)\n"
+        "except DegreeBoundExceeded as exc:\n"
+        "    print(exc)\n"
+        "print(trace.moment((1,) * 640).re == math.comb(640, 320) // 321)\n"
+    )
+    done = run_python(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "word length 700 exceeds the reach of the moment recursion under the "
+        "recursion limit 1000",
+        "True",
+    ]
 
 
 def test_threads_filling_one_memo_read_the_cold_values():

@@ -35,6 +35,9 @@ def test_tracer_plans_every_traced_method(monkeypatch):
         (ncfree.conjugate, "check_conjugate"),
         (ncfree.conjugate, "check_duality"),
         (ncfree.cli, "check_duality"),
+        (ncfree.cli, "load_spec_file"),
+        (ncfree.cli, "relation_kernel"),
+        (ncfree.reduction, "relation_kernel"),
     ]:
         assert binding in patched
     # planning leaves the classes as they were
