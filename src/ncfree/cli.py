@@ -19,12 +19,12 @@ Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or configuration error, 3 internal error.  A negative --degree or
 --trials, a duality --degree of 0 or on no generators, a --slack that is
 NaN or infinite, an --out file that cannot be written, a spec file or a
-trace or ensemble section that is not a JSON object, a number with a zero denominator, an
-inconsistent explicit moment table, an ensemble whose matrix count differs
-from the trace's generator count, a Gram matrix that is not positive
-semidefinite and a free-family word too long for the moment recursion to
-nest are usage errors (2), never a verification failure.  Any other exception is reported as an internal
-error (3): an `internal error:` line and the traceback go to stderr.
+trace or ensemble section that is not a JSON object, a number with a zero
+denominator, an inconsistent explicit moment table, an ensemble whose matrix
+count differs from the trace's generator count and a Gram matrix that is not
+positive semidefinite are usage errors (2), never a verification failure.
+Any other exception is reported as an internal error (3): an `internal
+error:` line and the traceback go to stderr.
 """
 
 from __future__ import annotations

@@ -60,12 +60,6 @@ from .trace import (
 )
 
 
-def words_up_to(n: int, degree: int) -> Iterator[Word]:
-    """All words over 1..n of length 0..degree, shortest first."""
-    for length in range(degree + 1):
-        yield from itertools.product(range(1, n + 1), repeat=length)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of a conjugate-relation sweep."""
@@ -199,8 +193,6 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
     bits = [0] * (cand.spec.n + 1)
     for letter in trace.symmetric_letters:
         bits[letter] = 1 << letter
-    # a private plain copy of the memo keeps its left sides for this call only
-    store = getattr(trace._memo, "left_sides", {})
     # word mask -> the relations not 0 = 0 there, as (j, the left sides of j,
     # or None where parity makes the left side 0, the xi_j terms of that mask)
     relations: dict[int, list] = {}
@@ -209,7 +201,7 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
         for u, coeff in p.terms.items():
             by_mask.setdefault(_mask(u, bits), []).append((u, coeff))
         for word_mask in {bits[j], *by_mask}:
-            sides = store.setdefault(j, {}) if word_mask == bits[j] else None
+            sides = trace._memo.left_sides.setdefault(j, {}) if word_mask == bits[j] else None
             relations.setdefault(word_mask, []).append((j, sides, by_mask.get(word_mask, ())))
     mirror = trace.free and all(cand.self_adjointness())
     failures = []

@@ -13,9 +13,10 @@ operations are pure.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +42,12 @@ def is_letter(letter, n: int) -> bool:
     except TypeError:
         return False
     return 1 <= letter <= n
+
+
+def words_up_to(n: int, degree: int) -> Iterator[Word]:
+    """All words over 1..n of length 0..degree, shortest first."""
+    for length in range(degree + 1):
+        yield from itertools.product(range(1, n + 1), repeat=length)
 
 
 def check_word(word: Word, n: int) -> None:

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .conjugate import words_up_to
 from .derivations import d
 from .errors import NonPositiveMoments
-from .ncpoly import NcPoly, Word
+from .ncpoly import NcPoly, Word, words_up_to
 from .scalars import ONE, ZERO, Scalar
 from .trace import TraceFunctional, check_nonnegative
 

@@ -11,20 +11,20 @@ A DistributionSpec describes the joint distribution of the n generators:
   monochromatic blocks of products of free cumulants.
 * ExplicitMoments -- a user-supplied word -> value table up to a degree bound.
 
-Both free variants are evaluated by one block-of-the-first-element
-recursion over non-crossing partitions, exactly, on Scalar values; the same
-recursion inverts a moment sequence into free cumulants.  A block of a letter
-never grows past that letter's last nonzero cumulant, so semicircular words
-only ever pair letters.
+Both free variants sum over the block of a word's first letter in its
+non-crossing partitions, exactly, on Scalar values, and fill the memo of
+subwords bottom up, so no call nests once per letter; the same sum inverts
+a moment sequence into free cumulants.  A block of a letter never grows past
+that letter's last nonzero cumulant, so semicircular words only pair letters.
 
-The recursion also uses a parity rule.  A law is symmetric exactly when its
+The sum also uses a parity rule.  A law is symmetric exactly when its
 odd free cumulants vanish, and then Z_i -> -Z_i leaves the joint law of a
 free family unchanged (Nica and Speicher, Lectures on the Combinatorics of
 Free Probability, 2006).  So a word in which a symmetric letter --
 semicircular, Bernoulli, arcsine, the zero variable -- occurs an odd number
 of times has moment 0: every partition of it has a block of that letter of
-odd size.  Such a word is answered without the recursion.  Explicit tables
-and the inversion into cumulants never use the rule.
+odd size.  Such a word is answered without a sum.  Explicit tables and the
+inversion into cumulants never use the rule.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ class DistributionSpec:
 
 
 # ---------------------------------------------------------------------------
-# the non-crossing recursion and free cumulants
+# the non-crossing sum and free cumulants
 # ---------------------------------------------------------------------------
 
 
@@ -302,54 +302,64 @@ def _nc_moment(
     """Sum over non-crossing partitions of `word` with monochromatic blocks.
 
     A block of k copies of letter i contributes cumulants[i - 1][k - 1], and
-    no block of that letter is longer than its list.  Every subword met is
-    stored in `memo`, which must already hold tau() = 1.  A word costs at
-    most (occurrences of its first letter + 1) x (its cumulant length) block
-    states, and each state scans the word once.
+    no block of that letter is longer than its list.  Asked on a miss of
+    `memo`, which holds tau() = 1; `word` is stored there.  `symmetric` lists
+    letters whose odd cumulants all vanish: a word with an odd count of one is 0.
 
-    `symmetric` lists letters whose odd cumulants are all zero.  A word with
-    an odd count of one of them is 0, stored as such before any search.
-
-    A free product of tracial states is tracial, so all rotations of a word
-    have one moment.  A word of length >= 2 missing from `memo` is computed
-    under its lexicographically least rotation, the key all its rotations
-    share, and its value is stored under both.
+    A free product of tracial states is tracial, so a word is looked up under
+    its least rotation, the key all its rotations share.  A missing key is
+    summed by `_block_sum` from the stored values of its subwords.  If one is
+    missing, the memo is first filled bottom up: each subword key[a:b] is read
+    under itself or its least rotation, or else summed and stored under both,
+    shortest first.  No call nests per letter.  An odd subword reads 0 from a
+    prefix mask and is never stored.
     """
-    cached = memo.get(word)
-    if cached is not None:
-        return cached
     for letter in symmetric:
         if word.count(letter) & 1:
             memo[word] = ZERO
             return ZERO
-    if len(word) >= 2:
-        key = least_rotation(word)
-        if key != word:
-            value = memo[word] = _nc_moment(key, cumulants, memo, symmetric)
-            return value
-    letter = word[0]
-    kappa = cumulants[letter - 1]
-    # the block of position 0: positions 0 = p_0 < p_1 < ... < p_{m-1} with
-    # word[p_i] == letter; the gaps and the tail factorize.  finish sums the
-    # ways to end a block of `size` elements whose last one sits at start - 1.
-    ends: dict[tuple[int, int], Scalar] = {}  # it depends on (start, size) alone
+    key = least_rotation(word)
+    value = memo.get(key)
+    if value is None:
+        n, prefix = len(key), [0]  # prefix[b] ^ prefix[a] is the parity mask of key[a:b]
+        for letter in key:
+            prefix.append(prefix[-1] ^ (1 << letter if letter in symmetric else 0))
+        try:  # a KeyError: a subword that the sum reads is not stored yet
+            value = memo[key] = _block_sum(key, 0, n, cumulants, prefix, memo)
+        except KeyError:
+            for span in range(1, n + 1):
+                for a, b in zip(range(n), range(span, n + 1)):
+                    if prefix[a] == prefix[b] and key[a:b] not in memo:
+                        turn = least_rotation(key[a:b])
+                        if turn not in memo:
+                            memo[turn] = _block_sum(key, a, b, cumulants, prefix, memo)
+                        memo[key[a:b]] = memo[turn]
+            value = memo[key]
+    memo[word] = value
+    return value
 
-    def finish(start: int, size: int) -> Scalar:
-        value = ends.get((start, size))
-        if value is None:
-            k = kappa[size - 1]  # close the block: word[start:] is a free factor
-            value = k * _nc_moment(word[start:], cumulants, memo, symmetric) if k else ZERO
-            if size < len(kappa):  # every longer block has a zero cumulant
-                for nxt in range(start, len(word)):
-                    if word[nxt] == letter:
-                        gap = _nc_moment(word[start:nxt], cumulants, memo, symmetric)
-                        if gap:
-                            value = value + gap * finish(nxt + 1, size + 1)
-            ends[start, size] = value
-        return value
 
-    total = memo[word] = finish(1, 1) if kappa else ZERO  # else the zero variable
-    return total
+def _block_sum(key: Word, a: int, b: int, cumulants, prefix, memo) -> Scalar:
+    """tau(key[a:b]) summed over the block of its first letter, from the values
+    memo[key[x:y]], a < x <= y <= b; a missing one of parity mask 0 raises
+    KeyError.  The block sits at a = q_0 < q_1 < ... of that letter; ends[i]
+    sums the ways to finish a block of `size` elements at q_i, from the size
+    above or by closing it at q_c = b with kappa[size - 1]: each state once."""
+    kappa = cumulants[key[a] - 1]
+    q = [p for p in range(a, b) if key[p] == key[a]] + [b]
+    c = len(q) - 1
+    longest = min(len(kappa), c)  # no block is longer than kappa or than c
+    ends = [ZERO] * len(q)
+    for size in range(longest, 0, -1):
+        longer, ends = ends, [ZERO] * len(q)
+        longer[c] = kappa[size - 1]
+        for i in range(size - 1, c if size > 1 else 1):
+            start, mask = q[i] + 1, prefix[q[i] + 1]
+            js = range(i + 1 if size < longest else c, c + 1)  # blocks end at q_c = b
+            terms = [memo[key[start:q[j]]] * longer[j] for j in js
+                     if longer[j] and mask == prefix[q[j]]]
+            ends[i] = functools.reduce(Scalar.__add__, terms) if terms else ZERO
+    return ends[0]  # ZERO for the zero variable, whose kappa is empty
 
 
 def free_cumulants(moments: Sequence[Fraction]) -> list[Fraction]:
@@ -392,7 +402,7 @@ class MomentMemo(dict):
     degree d, which that function fills the first time it is asked.  Both
     live and are cleared with the moments they come from, so the first call
     on a family pays in full and later calls in the process read them; a
-    plain dict copy of the memo carries neither.
+    private copy, MomentMemo(memo), starts with both empty.
     """
 
     __slots__ = ("left_sides", "certified")
@@ -446,9 +456,8 @@ class TraceFunctional:
     the memo as well (`MomentMemo`), so they are shared the same way: the
     first call on a family pays in full, later ones in the process read them.
     A table keeps its own memo and left sides, and is never certified.
-
-    A free-family word too long for the recursion to nest raises
-    DegreeBoundExceeded, as a word past the degree bound does.
+    A free-family miss is summed without recursion (`_nc_moment`), so only
+    a word past the stated limits raises DegreeBoundExceeded.
     """
 
     def __init__(self, spec: DistributionSpec, degree_bound: int = DEFAULT_DEGREE_BOUND):
@@ -512,14 +521,7 @@ class TraceFunctional:
         if value is None:
             if not self.free:
                 raise UnknownMoment(f"no table entry for word {word}")
-            try:
-                value = _nc_moment(word, self._cumulants, self._memo, self.symmetric_letters)
-            except RecursionError:
-                # a subword enters the memo only once summed, so it stays exact
-                raise DegreeBoundExceeded(
-                    f"word length {len(word)} exceeds the reach of the moment "
-                    f"recursion under the recursion limit {sys.getrecursionlimit()}"
-                ) from None
+            value = _nc_moment(word, self._cumulants, self._memo, self.symmetric_letters)
         return value
 
     # -- linear extensions --------------------------------------------------

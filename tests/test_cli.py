@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import random
 import time
 from pathlib import Path
@@ -1085,7 +1086,7 @@ def test_verify_conjugate_past_the_limit_keeps_its_message(
     assert run_for_error(capsys, argv) == (2, f"error: {message}")
 
 
-def test_a_word_past_the_recursion_reach_is_a_usage_error(tmp_path, capsys):
+def test_a_700_letter_xi_is_verified(tmp_path, capsys):
     spec = tmp_path / "deep.json"
     spec.write_text(json.dumps({
         "n": 1,
@@ -1094,6 +1095,11 @@ def test_a_word_past_the_recursion_reach_is_a_usage_error(tmp_path, capsys):
     }))
     xi = "1 * Z" + " 1" * 700
     argv = ["verify-conjugate", "--spec", str(spec), "--xi", xi, "--degree", "0"]
-    code, err = run_for_error(capsys, argv)
-    assert code == 2
-    assert err.startswith("error: word length 700 exceeds the reach of the moment recursion")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # at the empty word: (tau (x) tau)(d_1 1) = 0, but tau(xi_1) = Catalan(350)
+    failures = json.loads(captured.out)["result"]["failures"]
+    assert failures == [
+        {"j": 1, "word": [], "lhs": "0", "rhs": str(math.comb(700, 350) // 351)}
+    ]

@@ -22,7 +22,6 @@ from ncfree.conjugate import (
     dstar_right,
     fisher,
     norm_margins,
-    words_up_to,
 )
 from ncfree.derivations import d
 from ncfree.errors import (
@@ -32,9 +31,11 @@ from ncfree.errors import (
     IndexOutOfRange,
     UnknownMoment,
 )
+from ncfree.ncpoly import words_up_to
+from ncfree.reduction import free_family_certified
 from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_poly, rand_self_adjoint, rand_word
-from ncfree.trace import ExplicitMoments, FreeFamily, SemicircularFamily
+from ncfree.trace import ExplicitMoments, FreeFamily, MomentMemo, SemicircularFamily
 
 from conftest import bernoulli_spec, gens
 from oracles import (
@@ -209,8 +210,11 @@ def test_parity_pruning_leaves_odd_words_out_of_the_memo():
     cand = ConjugateCandidate([2 * z1, z2], DistributionSpec.standard_semicircular(2))
     report = check_conjugate(cand, degree=8)
     assert len(report.failures) == 49
-    # a sweep that looks up every odd word as well leaves 649 words
-    assert len(cand.trace._memo) == 131
+    # neither the sweep nor the moment fill below it stores an odd word; all
+    # 1,023 words of up to 9 letters, odd ones asked too, would be stored
+    memo = cand.trace._memo
+    assert not [word for word in memo if word.count(1) % 2 or word.count(2) % 2]
+    assert len(memo) == 111
 
 
 def _differential_cases():
@@ -316,17 +320,21 @@ def test_a_private_memo_copy_leaves_no_stale_left_side():
     # a wrong tau(1 1) = 2 goes into a private copy of the shared memo, as in
     # test_duality_rejects_a_functional_without_the_star
     cand = ConjugateCandidate(gens(2), spec)
-    cand.trace._memo = dict(cand.trace._memo)
+    cand.trace._memo = MomentMemo(cand.trace._memo)
     cand.trace._memo[(1, 1)] = Scalar(2)
     wrong = check_conjugate(cand, degree=5).failures
     # its left sides are summed from the private moments, not read from the
     # shared store: (tau (x) tau)(d_1 (1 1 1)) = 2 tau(1 1) = 4
     assert (1, (1, 1, 1), Scalar(4), Scalar(2)) in wrong
+    # the copy keeps its certificates as well: h_1 = tau(1 1) = 2
+    assert free_family_certified(cand.trace, 1)
+    assert cand.trace._memo.certified == {1: True}
     # and none of them enters the shared store
     assert check_conjugate(ConjugateCandidate(gens(2), spec), degree=5).passed
     shared = TraceFunctional(spec)._memo
     assert shared.left_sides[1][(1, 1, 1)] == Scalar(2)
     assert shared[(1, 1)] == Scalar(1)
+    assert shared.certified == {}
 
 
 def test_zero_sides_are_reported():
@@ -531,7 +539,7 @@ def test_duality_rejects_a_functional_without_the_star(rng, family):
     # table) or this one (the rotation key of a free family): never its conjugate.
     # The wrong value goes into a private copy of the memo, which a free family
     # shares with every functional on it
-    trace._memo = dict(trace._memo)
+    trace._memo = MomentMemo(trace._memo)
     trace._memo[v] = trace.moment(v) + Scalar(0, 1)
     z1, z2 = gens(trace.spec.n)[:2]
     # d_1 of Z2 Z2 Z1 splits at k = 2, so the sweep reads v = (1 1) (2 2)

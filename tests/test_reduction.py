@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -8,6 +9,7 @@ import ncfree.reduction
 import ncfree.trace
 from ncfree import DistributionSpec, NcPoly, TraceFunctional
 from ncfree.errors import DegreeBoundExceeded, NonPositiveMoments
+from ncfree.ncpoly import words_up_to
 from ncfree.reduction import (
     ProjectionSurrogate,
     delta,
@@ -26,7 +28,12 @@ from ncfree.sweeps import rand_nonzero_poly, rand_self_adjoint, rand_word
 from ncfree.trace import ExplicitMoments, FreeFamily, SemicircularFamily
 
 from conftest import bernoulli_spec, gens
-from oracles import orthogonal_polynomial_oracle, rref_nullspace_oracle
+from oracles import (
+    free_moment_oracle,
+    moments_from_cumulants_oracle,
+    orthogonal_polynomial_oracle,
+    rref_nullspace_oracle,
+)
 
 
 # -- delta ----------------------------------------------------------------------
@@ -365,6 +372,43 @@ def test_certificate_matches_the_gram_kernel(name):
         kernel = relation_kernel(TraceFunctional(spec), degree)
         assert kernel == gram_kernel(TraceFunctional(spec), degree), degree
         assert (kernel == []) == free_of_relations, degree
+
+
+def _oracle_cumulants(spec):
+    """Each letter's free cumulants, inverted by partition enumeration."""
+    if isinstance(spec.variant, SemicircularFamily):
+        return [[0, v] + [0] * 6 for v in spec.variant.variances]
+    cumulants = []
+    for moments in spec.variant.moments:
+        kappa = []
+        for k, m_k in enumerate(moments, start=1):
+            kappa.append(m_k - moments_from_cumulants_oracle(k, kappa))
+        cumulants.append(kappa)
+    return cumulants
+
+
+@pytest.mark.parametrize("name", list(CROSS_CHECK_SPECS))
+def test_the_moment_fill_gives_one_memo_in_any_order(name):
+    """A miss stores many subwords, so a wrong store would show up as a word
+    whose value depends on which words were asked before it."""
+    spec, _ = CROSS_CHECK_SPECS[name]
+    words = list(words_up_to(spec.n, 8))
+    shuffled = random.Random(8).sample(words, len(words))
+    memos = []
+    for order in (words, words[::-1], shuffled):
+        ncfree.trace._shared_memo.cache_clear()
+        trace = TraceFunctional(spec, degree_bound=8)
+        for word in order:
+            trace.moment(word)
+        memos.append(trace._memo)
+    first = memos[0]
+    for other in memos[1:]:
+        shared = first.keys() & other.keys()
+        assert len(shared) >= len(words)
+        assert [w for w in shared if first[w] != other[w]] == []
+    cumulants = _oracle_cumulants(spec)
+    for word in random.Random(name).sample(words, min(len(words), 12)):
+        assert first[word] == Scalar(free_moment_oracle(word, cumulants)), word
 
 
 def test_stored_certificates_match_a_fresh_memo_in_any_order():

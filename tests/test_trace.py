@@ -326,24 +326,39 @@ def test_cumulants_are_inverted_once_per_family_on_a_miss(monkeypatch):
     assert len(inversions) == 2
 
 
-# -- cost and reach of the recursion ------------------------------------------
+# -- cost and reach of the moment sum -----------------------------------------
 
 
 def test_each_block_state_is_summed_once(monkeypatch):
-    """free-Poisson letters never stop their blocks, and their recursion calls
-    grow polynomially with the depth, not twofold with each occurrence."""
+    """Each subword is summed at most once, under its least rotation, and an
+    inversion step sums only its own word: the cost follows the distinct
+    subwords, not the ways to reach them."""
+    sums = []
+    original = ncfree.trace._block_sum
+
+    def counting(key, a, b, *rest):
+        value = original(key, a, b, *rest)  # a sum that meets a missing subword raises
+        sums.append(least_rotation(key[a:b]))
+        return value
+
+    monkeypatch.setattr(ncfree.trace, "_block_sum", counting)
     catalan = [math.comb(2 * k, k) // (k + 1) for k in range(1, 33)]
-    recursions = count_calls(monkeypatch, "_nc_moment")
-    assert free_cumulants(catalan[:16]) == [1] * 16
-    # 3,181 calls; a search over every subset of the block's positions made 131,039
-    assert len(recursions) <= 8_000
-    recursions.clear()
     assert free_cumulants(catalan) == [1] * 32
-    assert len(recursions) <= 60_000  # 46,873
+    assert sums == [(1,) * k for k in range(1, 33)]
     word = (1, 1, 2, 2) * 2
     spec = DistributionSpec(2, FreeFamily((catalan[:24],) * 2))
     assert TraceFunctional(spec, degree_bound=24).moment(word) == Scalar(96)
     assert free_moment_oracle(word, ((1,) * 8,) * 2) == 96
+    trace = TraceFunctional(DistributionSpec(2, FreeFamily((BERNOULLI_MOMENTS, POISSON_MOMENTS))))
+    assert trace.symmetric_letters == (1,)  # each letter's inversion sums 1^k
+    sums.clear()
+    words = [word for length in range(9) for word in product((1, 2), repeat=length)]
+    for word in words[::-1]:  # longest first: subwords meet rotations of stored ones
+        trace.moment(word)
+    # one sum per mixed necklace: the memo starts with the one-letter words,
+    # and the Bernoulli letter is symmetric, so no odd subword is summed
+    mixed = {least_rotation(w) for w in words if 1 in w and 2 in w and w.count(1) % 2 == 0}
+    assert sorted(sums) == sorted(mixed)
 
 
 def test_least_rotation_is_the_least_of_all_rotations():
@@ -364,33 +379,38 @@ def test_least_rotation_is_the_least_of_all_rotations():
 
 
 def test_a_400_letter_word_stays_within_the_recursion_limit():
-    # 606 frames deep: a cached wrapper around each block state would need
-    # about 1,000, past Python's default limit
+    # the memo is filled bottom up, so the stack depth does not grow with the
+    # word (test_long_words_need_no_recursion_depth)
     trace = TraceFunctional(DistributionSpec.standard_semicircular(2), degree_bound=400)
     assert trace.moment((1,) * 400) == Scalar(math.comb(400, 200) // 201)
 
 
-def test_a_word_past_the_recursion_reach_is_a_degree_error():
-    # a new interpreter, whose stack starts as shallow as the CLI's: 640
-    # letters fit under the default recursion limit, 700 do not
-    script = (
-        "import math\n"
-        "from ncfree import DistributionSpec, TraceFunctional\n"
-        "from ncfree.errors import DegreeBoundExceeded\n"
-        "trace = TraceFunctional(DistributionSpec.standard_semicircular(1), 700)\n"
-        "try:\n"
-        "    trace.moment((1,) * 700)\n"
-        "except DegreeBoundExceeded as exc:\n"
-        "    print(exc)\n"
-        "print(trace.moment((1,) * 640).re == math.comb(640, 320) // 321)\n"
-    )
-    done = run_python(script)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
-        "word length 700 exceeds the reach of the moment recursion under the "
-        "recursion limit 1000",
-        "True",
-    ]
+LONG_WORDS_SCRIPT = """
+import math, sys
+from ncfree import DistributionSpec, TraceFunctional
+from ncfree.trace import SemicircularFamily
+if sys.argv[1] != "default":
+    sys.setrecursionlimit(int(sys.argv[1]))  # after the imports, which need more
+for variances, word in [
+    ([1], (1,) * 300),
+    ([1, 1], (1, 2, 2, 1) * 75),
+    ([1, "1/2", 2], (1, 2, 3, 3, 2, 1) * 50),
+]:
+    spec = DistributionSpec(len(variances), SemicircularFamily(variances))
+    print(TraceFunctional(spec, len(word)).moment(word))
+print(math.comb(300, 150) // 151)
+"""
+
+
+def test_long_words_need_no_recursion_depth():
+    # a new interpreter at a recursion limit of 100: the fill nests no call
+    # per letter, so 300-letter words give what the default limit gives
+    low, default = run_python(LONG_WORDS_SCRIPT, "100"), run_python(LONG_WORDS_SCRIPT, "default")
+    assert low.returncode == 0, low.stderr
+    assert default.returncode == 0, default.stderr
+    lines = low.stdout.splitlines()
+    assert lines == default.stdout.splitlines()
+    assert lines[0] == lines[3]  # tau(1^300) = Catalan(150)
 
 
 def test_threads_filling_one_memo_read_the_cold_values():
