@@ -10,10 +10,13 @@ All sampling is reproducible: the generator is numpy's PCG64 and each sample
 gets a child seed derived from the root seed and its index, so aggregation
 is order-independent.
 
-`spectrum` and `opnorm_estimate` draw the samples one at a time, so they
-hold one matrix tuple at once whatever the sample count.  `sample` returns
-every tuple at once; `empirical_margins` keeps that ensemble resident,
-because it measures p, q and every trial on the same tuples.
+`opnorm_estimate`, and `spectrum` on an ensemble with a GUE tag, draw the
+samples one at a time, so they hold one matrix tuple at once whatever the
+sample count.  `spectrum` on an all-diagonal ensemble holds every sample's
+diagonals at once, n x samples x dim complex entries, and evaluates p on
+them in one pass.  `sample` returns every tuple at once; `empirical_margins`
+keeps that ensemble resident, because it measures p, q and every trial on
+the same tuples.
 """
 
 from __future__ import annotations
@@ -187,16 +190,42 @@ def quadrature_from_moments(moments: Sequence[float]) -> tuple[np.ndarray, np.nd
 
 DIAGONAL_TAGS = (DiagonalRademacher, DiagonalFromMoments)
 
+#: the Rademacher atoms, indexed by a draw of integers(0, 2)
+RADEMACHER_ATOMS = np.array([-1.0, 1.0], dtype=complex)
+
+
+def _diagonal_table(tag: EnsembleTag) -> tuple[np.ndarray, np.ndarray] | None:
+    """A DiagonalFromMoments tag's atoms, as complex, and the CDF of their weights.
+
+    The atoms are the quadrature nodes.  The weights pass the check that
+    `Generator.choice` makes of a probability vector, made here once, and
+    the CDF is built as `choice` builds it: their cumulative sum divided by
+    its last entry.  Other tags: None.
+    """
+    if not isinstance(tag, DiagonalFromMoments):
+        return None
+    nodes, weights = quadrature_from_moments(tag.moments)
+    # raises as every choice call would on weights that are not a probability vector
+    np.random.default_rng(0).choice(len(nodes), size=0, p=weights)
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return nodes.astype(complex), cdf
+
 
 def _draw(
     tag: EnsembleTag,
-    quadrature: tuple[np.ndarray, np.ndarray] | None,
+    table: tuple[np.ndarray, np.ndarray] | None,
     dim: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """A GUE matrix, or the diagonal (1-D) of a diagonal ensemble's matrix.
 
-    `quadrature` is the tag's (nodes, weights) for DiagonalFromMoments.
+    `table` is `_diagonal_table(tag)`.  A diagonal draw makes the generator
+    calls that `rng.choice(atoms, size=dim, p=weights)` makes: without
+    weights `integers(0, len(atoms), size=dim)`, with them a search of
+    `random(dim)` in the normalised CDF (side "right").  So it leaves the
+    stream where `choice` leaves it and picks the same atoms, from a complex
+    table, without `choice`'s per-call checks or a conversion afterwards.
     """
     if isinstance(tag, GUE):
         # (raw + raw^*) / (2 sqrt(dim)) for raw = a + ib, filled part by part
@@ -215,27 +244,22 @@ def _draw(
             mat *= np.sqrt(tag.variance)
         return mat
     if isinstance(tag, DiagonalRademacher):
-        return rng.choice([-1.0, 1.0], size=dim).astype(complex)
-    nodes, weights = quadrature
-    return rng.choice(nodes, size=dim, p=weights).astype(complex)
+        return RADEMACHER_ATOMS[rng.integers(0, 2, size=dim)]
+    atoms, cdf = table
+    return atoms[cdf.searchsorted(rng.random(dim), side="right")]
 
 
 def _draws(config: EnsembleConfig):
     """Per sample index, the draws of every tag from that index's own stream."""
     # the quadrature depends on the tag alone: solve it once, not per sample
-    quadratures = [
-        quadrature_from_moments(tag.moments)
-        if isinstance(tag, DiagonalFromMoments)
-        else None
-        for tag in config.ensembles
-    ]
+    tables = [_diagonal_table(tag) for tag in config.ensembles]
     for index in range(config.samples):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(index,)))
         )
         yield [
-            _draw(tag, quadrature, config.dim, rng)
-            for tag, quadrature in zip(config.ensembles, quadratures)
+            _draw(tag, table, config.dim, rng)
+            for tag, table in zip(config.ensembles, tables)
         ]
 
 
@@ -339,14 +363,20 @@ def atom_scan(
     descending mass; mass is an upper estimate of the atom mass.
     """
     ev = np.sort(np.asarray(eigenvalues, dtype=float))
-    total = len(ev)
-    if total == 0:
+    if len(ev) == 0:
         raise ValueError("empty eigenvalue sample")
-    width = window_scale / np.sqrt(total)
+    width = window_scale / np.sqrt(len(ev))
+    return _scan_windows(ev, width, _window_ends(ev, width), floor)
+
+
+def _scan_windows(
+    ev: np.ndarray, width: float, ends: np.ndarray, floor: float | None
+) -> list[tuple[float, float]]:
+    """`atom_scan` on sorted, non-empty ev, given `_window_ends(ev, width)`."""
+    total = len(ev)
     spread = max(float(ev[-1] - ev[0]), width)
     if floor is None:
         floor = 0.5 * width / spread
-    ends = _window_ends(ev, width)
     counts = ends - np.arange(total)
     # the windows at or above the floor, by descending count, ties in increasing i
     order = np.argsort(-counts, kind="stable")
@@ -402,8 +432,12 @@ class SpectralReport:
 def spectrum(p: NcPoly, config: EnsembleConfig, bins: int = 100) -> SpectralReport:
     """Pooled eigenvalues, histogram and atom estimates of p over the ensemble.
 
-    The samples are drawn and evaluated one at a time: only one tuple, its
-    p(X) and the pooled eigenvalues are held at once.
+    When every tag is diagonal, the diagonals of all samples are held at
+    once (n x samples x dim complex entries) and p is evaluated on them in
+    one pass.  Otherwise the samples are drawn and evaluated one at a time:
+    only one tuple, its p(X) and the pooled eigenvalues are held at once.
+    The window ends over the pooled eigenvalues are found once and give
+    both the atom estimate and the max window mass.
     """
     if not p.is_self_adjoint():
         raise ValueError("spectrum requires a self-adjoint polynomial")
@@ -411,32 +445,35 @@ def spectrum(p: NcPoly, config: EnsembleConfig, bins: int = 100) -> SpectralRepo
         raise EvaluationError(f"expected {p.n} matrices, got {config.n}")
     if all(isinstance(tag, DIAGONAL_TAGS) for tag in config.ensembles):
         # diagonal matrices: the words are elementwise products, and the
-        # eigenvalues of the diagonal p(X) are its real entries
-        dim = config.dim
-        pooled = [
-            p.evaluate_in(
-                diagonals,
-                np.zeros(dim, dtype=complex),
-                lambda: np.ones(dim, dtype=complex),
-                operator.mul,
-            ).real
-            for diagonals in _draws(config)
-        ]
+        # eigenvalues of the diagonal p(X) are its real entries; row k of
+        # each letter's array is sample k's diagonal
+        shape = (config.samples, config.dim)
+        letters = np.empty((config.n, *shape), dtype=complex)
+        for index, diagonals in enumerate(_draws(config)):
+            for letter, diagonal in zip(letters, diagonals):
+                letter[index] = diagonal
+        pooled = p.evaluate_in(
+            letters,
+            np.zeros(shape, dtype=complex),
+            lambda: np.ones(shape, dtype=complex),
+            operator.mul,
+        ).real
     else:
-        pooled = list(
-            map(lambda mats: np.linalg.eigvalsh(p.evaluate(mats)), _tuples(config))
-        )
-    eigenvalues = np.sort(np.concatenate(pooled))
+        pooled = np.concatenate(list(map(
+            lambda mats: np.linalg.eigvalsh(p.evaluate(mats)), _tuples(config)
+        )))
+    eigenvalues = np.sort(pooled, axis=None)
+    total = len(eigenvalues)
     counts, bin_edges = np.histogram(eigenvalues, bins=bins)
-    width = ATOM_WINDOW_SCALE / np.sqrt(len(eigenvalues))
-    atoms = atom_scan(eigenvalues)
+    width = ATOM_WINDOW_SCALE / np.sqrt(total)
+    ends = _window_ends(eigenvalues, width)
     return SpectralReport(
         eigenvalues=eigenvalues,
         bin_edges=bin_edges,
         counts=counts,
-        atom_estimate=tuple(atoms),
+        atom_estimate=tuple(_scan_windows(eigenvalues, width, ends, None)),
         window_width=width,
-        max_window_mass=max_window_mass(eigenvalues, width),
+        max_window_mass=int((ends - np.arange(total)).max()) / total,
         config=config,
     )
 

@@ -295,3 +295,10 @@ def gue_draw_oracle(variance, dim, rng):
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     mat = (raw + raw.conj().T) / (2.0 * np.sqrt(dim))
     return np.sqrt(variance) * mat
+
+
+def diagonal_draw_oracle(values, weights, dim, rng):
+    """A diagonal ensemble's diagonal as `Generator.choice` draws it: `dim`
+    entries of `values` with probabilities `weights` (uniform if None),
+    converted to complex."""
+    return rng.choice(values, size=dim, p=weights).astype(complex)

@@ -326,6 +326,23 @@ def test_spectrum_needs_one_matrix_per_generator(tmp_path, capsys, kind, poly):
     assert captured.err == "error: expected 2 matrices, got 1\n"
 
 
+def test_spectrum_of_a_constant_without_generators(tmp_path, capsys):
+    path = tmp_path / "no-generators.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": 0,
+                "trace": {"variant": "semicircular", "variances": []},
+                "ensemble": {"dim": 3, "samples": 2, "matrices": []},
+            }
+        )
+    )
+    code = main(["spectrum", "--spec", str(path), "--poly", "2 * Z", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == "eigenvalue\n" + "2.0\n" * (2 * 3)
+
+
 # -- margins ---------------------------------------------------------------------
 
 

@@ -29,12 +29,13 @@ from ncfree.randmat import (
     sample,
     spectrum,
 )
-from ncfree.randmat import _draw
+from ncfree.randmat import _diagonal_table, _draw
 from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_nonzero_poly
 
 from conftest import gens, run_python
 from oracles import (
+    diagonal_draw_oracle,
     greedy_atom_scan_oracle,
     gue_draw_oracle,
     identity_start_evaluate_oracle,
@@ -56,6 +57,33 @@ def test_gue_draw_is_the_complex_formula_bit_for_bit(dim):
             expected = gue_draw_oracle(variance, dim, np.random.default_rng(seed))
             assert drawn.dtype == expected.dtype
             assert drawn.tobytes() == expected.tobytes(), (variance, seed)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 100])
+@pytest.mark.parametrize(
+    "tag",
+    [
+        DiagonalRademacher(),
+        DiagonalFromMoments((0.0, 2.0, 2.0, 6.0)),
+        DiagonalFromMoments((0.75, 2.625, 6.5625, 20.53125, 60.515625, 182.5078125)),
+        DiagonalFromMoments((2.0, 4.0, 8.0, 16.0)),
+    ],
+    ids=["rademacher", "two-atoms", "three-atoms", "dirac"],
+)
+def test_diagonal_draw_is_choice_bit_for_bit(tag, dim):
+    if isinstance(tag, DiagonalRademacher):
+        values, weights = [-1.0, 1.0], None
+    else:
+        values, weights = quadrature_from_moments(tag.moments)
+    table = _diagonal_table(tag)
+    for seed in range(5):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        # twice from one stream: each draw also leaves the stream where choice does
+        for _ in range(2):
+            drawn = _draw(tag, table, dim, rng)
+            expected = diagonal_draw_oracle(values, weights, dim, oracle_rng)
+            assert drawn.dtype == expected.dtype
+            assert drawn.tobytes() == expected.tobytes(), seed
 
 
 def test_sampling_is_deterministic():
@@ -323,6 +351,11 @@ def test_diagonal_spectrum_equals_dense_eigvalsh():
         for p in polys:
             report = spectrum(p, config)
             assert np.array_equal(report.eigenvalues, dense_pooled_eigenvalues(p, config))
+            # one window scan gives both figures that the two functions give
+            assert report.atom_estimate == tuple(atom_scan(report.eigenvalues))
+            assert report.max_window_mass == max_window_mass(
+                report.eigenvalues, report.window_width
+            )
 
 
 @pytest.mark.parametrize("samples", [1, 5])
@@ -447,6 +480,15 @@ def test_spectrum_of_rademacher_square():
     assert abs(loc_minus + 1.0) < 0.01 and abs(loc_plus - 1.0) < 0.01
     assert abs(mass_minus - 0.5) < 0.05 and abs(mass_plus - 0.5) < 0.05
     assert report.max_window_mass > 0.45
+
+
+def test_spectrum_of_a_constant_without_generators():
+    # no letters to take the shape from: it comes from the config
+    config = EnsembleConfig(0, 5, (), 4, 2)
+    report = spectrum(3 * NcPoly.one(0), config)
+    assert report.eigenvalues.tolist() == [3.0] * 20
+    assert report.atom_estimate == ((3.0, 1.0),)
+    assert report.max_window_mass == 1.0
 
 
 def test_spectrum_requires_self_adjoint():
