@@ -3,7 +3,7 @@
 from .ncpoly import NcPoly, Word
 from .scalars import Scalar
 from .tensor import TensorPoly2, TensorPoly3
-from .derivations import d, d_leg_sum
+from .derivations import d
 from .trace import (
     DistributionSpec,
     ExplicitMoments,
@@ -52,7 +52,6 @@ __all__ = [
     "TensorPoly2",
     "TensorPoly3",
     "d",
-    "d_leg_sum",
     "DistributionSpec",
     "SemicircularFamily",
     "FreeFamily",

@@ -15,16 +15,16 @@ it (`distribution_from`); the file is still read and hashed on every call, so
 an edited file is parsed again.  The first call pays for all of this in full.
 argparse still raises SystemExit(2) on a bad flag and SystemExit(0) on --help.
 
-Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage or configuration error, 3 internal error.  A negative --degree or
---trials, a duality --degree of 0 or on no generators, a --slack that is
-NaN or infinite, an --out file that cannot be written, a spec file or a
-trace or ensemble section that is not a JSON object, a number with a zero
-denominator, an inconsistent explicit moment table, an ensemble whose matrix
-count differs from the trace's generator count and a Gram matrix that is not
-positive semidefinite are usage errors (2), never a verification failure.
-Any other exception is reported as an internal error (3): an `internal
-error:` line and the traceback go to stderr.
+Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
+or configuration error, 3 internal error.  A negative --degree or --trials,
+a duality --degree of 0 or on no generators, a --slack that is NaN or
+infinite, an --out file that cannot be written, a spec file that is not
+UTF-8, a spec file or a trace or ensemble section that is not a JSON object,
+a number with a zero denominator, an inconsistent explicit moment table, an
+ensemble whose matrix count differs from the trace's generator count and a
+Gram matrix that is not positive semidefinite are usage errors (2), never a
+verification failure. Any other exception is reported as an internal error
+(3): an `internal error:` line and the traceback go to stderr.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class ConfigError(Exception):
 
 def load_spec_file(path: str) -> dict:
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        raw = Path(path).read_text(encoding="utf-8")  # JSON's encoding, RFC 8259
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read spec file: {exc}") from exc
     try:
         data = json.loads(raw)
@@ -232,16 +232,22 @@ def write_out(path: str, text: str) -> None:
         raise ConfigError(f"cannot write --out file: {exc}") from exc
 
 
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field, quoted where RFC 4180 asks for it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _flatten_csv(result: dict, prefix: str = "") -> list[list[str]]:
     rows: list[list[str]] = []
     for key, value in result.items():
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             rows.extend(_flatten_csv(value, prefix=f"{name}."))
-        elif isinstance(value, (list, tuple)):
-            rows.append([name, json.dumps(value)])
         else:
-            rows.append([name, str(value)])
+            text = json.dumps(value) if isinstance(value, (list, tuple)) else str(value)
+            rows.append([_csv_field(name), _csv_field(text)])
     return rows
 
 

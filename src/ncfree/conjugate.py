@@ -35,9 +35,10 @@ tau(xi_j w*) = conj tau(w xi_j) = conj tau(xi_j w).  For such a candidate
 on a free family only one word of each reversal pair is evaluated.  An
 explicit table may lack words, so there every word is looked up as listed.
 
-dstar evaluates the adjoint of d_j on the tensor square via
+dstar evaluates the adjoint of d_j on the tensor square, by linearity, from
 
-    dstar_j(Y) = m_{xi_j}(Y) - m_1 (id (x) tau (x) id)(d_j (x) id + id (x) d_j)(Y)
+    dstar_j(w1 (x) w2) = w1 xi_j w2 - sum over w1 = a Z_j b of tau(b) a w2
+                                    - sum over w2 = a Z_j b of tau(a) w1 b,
 
 whose closed forms on P (x) 1 and 1 (x) P serve as independent cross-checks.
 """
@@ -48,7 +49,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Container, Iterator, Sequence
 
-from .derivations import check_index, d, d_leg_sum
+from .derivations import check_index, d
 from .errors import ConjugateCheckFailed, UnknownMoment
 from .ncpoly import NcPoly, Word
 from .scalars import ZERO, Scalar
@@ -233,19 +234,32 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
 
 
 def dstar(cand: ConjugateCandidate, j: int, y: TensorPoly2) -> NcPoly:
-    """The adjoint of d_j applied to a tensor-square element."""
+    """The adjoint of d_j applied to a tensor-square element, from its word splits."""
+    check_index(j, cand.spec.n)
     first = y.collapse(cand.xi[j - 1])
-    second = cand.trace.collapse_middle(d_leg_sum(j, y))
-    return first - second
+    # the traced term: tau(b) a w2 for w1 = a Z_j b, tau(a) w1 b for w2 = a Z_j b
+    terms: dict[Word, Scalar] = {}
+    for (w1, w2), coeff in y.terms.items():
+        splits = [(w1[pos + 1:], w1[:pos] + w2) for pos, z in enumerate(w1) if z == j]
+        splits += [(w2[:pos], w1 + w2[pos + 1:]) for pos, z in enumerate(w2) if z == j]
+        for traced, kept in splits:
+            tau = cand.trace.moment(traced)
+            if tau:
+                value = coeff * tau
+                acc = terms.get(kept)
+                terms[kept] = value if acc is None else acc + value
+    return first - NcPoly._trusted(y.n, terms)
 
 
 def dstar_left(cand: ConjugateCandidate, j: int, p: NcPoly) -> NcPoly:
     """Closed form on P (x) 1: P xi_j - (id (x) tau)(d_j P)."""
+    check_index(j, cand.spec.n)
     return p * cand.xi[j - 1] - cand.trace.partial_trace(d(j, p), "right")
 
 
 def dstar_right(cand: ConjugateCandidate, j: int, p: NcPoly) -> NcPoly:
     """Closed form on 1 (x) P: xi_j P - (tau (x) id)(d_j P)."""
+    check_index(j, cand.spec.n)
     return cand.xi[j - 1] * p - cand.trace.partial_trace(d(j, p), "left")
 
 
@@ -368,6 +382,7 @@ def norm_margins(
     trace.  ||P|| may be the lower estimate `opnorm_lower` or one measured on
     matrices, so a negative margin flags closer inspection, not a refutation.
     """
+    check_index(j, cand.spec.n)
     trace = cand.trace
     xi_l2 = trace.norm2(cand.xi[j - 1])
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import IndexOutOfRange
 from .ncpoly import NcPoly, Word
 from .scalars import Scalar
-from .tensor import TensorPoly2, TensorPoly3
+from .tensor import TensorPoly2
 
 
 def check_index(j: int, n: int) -> None:
@@ -33,21 +33,3 @@ def d(j: int, p: NcPoly) -> TensorPoly2:
             terms[key] = coeff if acc is None else acc + coeff
     return TensorPoly2._trusted(p.n, terms)
 
-
-def d_leg_sum(j: int, s: TensorPoly2) -> TensorPoly3:
-    """(d_j (x) id + id (x) d_j) applied to a tensor-square element."""
-    check_index(j, s.n)
-    terms: dict[tuple[Word, Word, Word], Scalar] = {}
-
-    def _accumulate(key: tuple[Word, Word, Word], coeff: Scalar) -> None:
-        acc = terms.get(key)
-        terms[key] = coeff if acc is None else acc + coeff
-
-    for (w1, w2), coeff in s.terms.items():
-        for pos, letter in enumerate(w1):
-            if letter == j:
-                _accumulate((w1[:pos], w1[pos + 1:], w2), coeff)
-        for pos, letter in enumerate(w2):
-            if letter == j:
-                _accumulate((w1, w2[:pos], w2[pos + 1:]), coeff)
-    return TensorPoly3._trusted(s.n, terms)

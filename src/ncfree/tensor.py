@@ -6,7 +6,7 @@ TensorPoly2 adds the componentwise *-algebra structure
 (a (x) b)(c (x) d) = ac (x) bd together with the extra operations the
 calculus needs: the composition-like product #, the flip, the bimodule
 action (p (x) 1) s (1 (x) q), and the multiplication collapse m_eta.
-TensorPoly3 is a bare linear carrier for the middle-leg contraction.
+TensorPoly3 is a bare linear carrier that no library code builds.
 """
 
 from __future__ import annotations
@@ -67,25 +67,10 @@ class TensorPoly2(SparseTerms):
         )
 
     def bimodule_mul(self, lp: NcPoly, rq: NcPoly) -> "TensorPoly2":
-        """(lp (x) 1) self (1 (x) rq): left leg multiplied by lp, right by rq.
-
-        One pass over the three factors: u, (w1 (x) w2) and v go to
-        (u w1) (x) (w2 v) with coefficient c_u c c_v.
-        """
+        """(lp (x) 1) self (1 (x) rq) = (lp (x) rq) # self: legs times lp and rq."""
         self._check_compatible(lp)
         self._check_compatible(rq)
-        right = tuple(rq.terms.items())
-        terms: dict = {}
-        for u, c_u in lp.terms.items():
-            for (w1, w2), c in self.terms.items():
-                head = u + w1
-                c_uc = c_u * c
-                for v, c_v in right:
-                    key = (head, w2 + v)
-                    value = c_uc * c_v
-                    acc = terms.get(key)
-                    terms[key] = value if acc is None else acc + value
-        return TensorPoly2._trusted(self.n, terms)
+        return TensorPoly2.of(lp, rq).sharp(self)
 
     def collapse(self, eta: NcPoly) -> NcPoly:
         """m_eta: a (x) b -> a * eta * b, linearly (polynomial eta only)."""
@@ -117,11 +102,8 @@ def _parse_pair(text: str):
 
 
 class TensorPoly3(SparseTerms):
-    """Sparse element of the tensor cube; linear carrier only.
-
-    Full algebra structure is deliberately absent: the calculus only ever
-    builds these as intermediate values and contracts their middle leg.
-    """
+    """Sparse element of the tensor cube: a linear carrier that no library code
+    builds, kept while perfbench/tracer.py plans its methods (ROADMAP item 8)."""
 
     __slots__ = ()
     LEGS = 3

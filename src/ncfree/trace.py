@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 from .errors import DegreeBoundExceeded, NonPositiveMoments, UnknownMoment
 from .ncpoly import NcPoly, Word, is_letter
 from .scalars import ONE, ZERO, Scalar
-from .tensor import TensorPoly2, TensorPoly3
+from .tensor import TensorPoly2
 
 DEFAULT_DEGREE_BOUND = 12
 
@@ -539,33 +539,23 @@ class TraceFunctional:
             total = total + coeff * self.moment(w1) * self.moment(w2)
         return total
 
-    def _contract(self, s: TensorPoly2 | TensorPoly3, split, result_cls):
-        """Trace the word split(key)[0] of each term; sum at the key split(key)[1]."""
-        terms: dict = {}
-        for key, coeff in s.terms.items():
-            traced, kept = split(key)
+    def partial_trace(self, s: TensorPoly2, side: str) -> NcPoly:
+        """Contract one leg with tau, leaving a polynomial.
+
+        side='left' is (tau (x) id), side='right' is (id (x) tau).
+        """
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        terms: dict[Word, Scalar] = {}
+        for (w1, w2), coeff in s.terms.items():
+            traced, kept = (w1, w2) if side == "left" else (w2, w1)
             moment = self.moment(traced)
             if moment.is_zero():
                 continue
             value = coeff * moment
             acc = terms.get(kept)
             terms[kept] = value if acc is None else acc + value
-        return result_cls._trusted(s.n, terms)
-
-    def partial_trace(self, s: TensorPoly2, side: str) -> NcPoly:
-        """Contract one leg with tau, leaving a polynomial.
-
-        side='left' is (tau (x) id), side='right' is (id (x) tau).
-        """
-        if side == "left":
-            return self._contract(s, lambda key: key, NcPoly)
-        if side == "right":
-            return self._contract(s, lambda key: key[::-1], NcPoly)
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-    def collapse_middle(self, y: TensorPoly3) -> NcPoly:
-        """m_1 (id (x) tau (x) id): trace the middle leg, multiply the outer ones."""
-        return self._contract(y, lambda key: (key[1], key[0] + key[2]), NcPoly)
+        return NcPoly._trusted(s.n, terms)
 
     # -- inner products and norms ---------------------------------------------
 

@@ -2,9 +2,10 @@
 
 These deliberately share no code with the library's evaluation paths: the
 moment oracles enumerate ALL pairings / set partitions and filter crossings,
-instead of the library's block-of-the-first-element recursion.  The one
-exception, duality_oracle, rebuilds the duality identity from the calculus'
-tensor objects, a path check_duality does not take.
+instead of the library's block-of-the-first-element recursion, and
+dstar_oracle traces the middle leg of the tensor cube that dstar never
+builds.  The one exception, duality_oracle, rebuilds the duality identity
+from the calculus' tensor objects, a path check_duality does not take.
 """
 
 from fractions import Fraction
@@ -141,6 +142,37 @@ def conjugate_failures_oracle(xi, n, degree, moment):
                 if lhs != rhs:
                     failures.append((j, word, lhs, rhs))
     return failures
+
+
+def dstar_oracle(terms, xi, j, moment):
+    """dstar_j(Y) = m_xi(Y) - m_1 (id (x) tau (x) id)(d_j (x) id + id (x) d_j)(Y).
+
+    Y is `terms`, a dict (w1, w2) -> c, and xi a dict u -> c, for xi_j; each
+    c is a complex rational as an (re, im) pair, and `moment` returns a
+    Fraction.  The legs are split into triples of words first, and each
+    triple's middle word is traced and its outer words joined after.
+    Returns the polynomial as a dict word -> (re, im), zeros left out.
+    """
+    result = {}
+
+    def add(word, coeff):
+        acc = result.get(word, (Fraction(0), Fraction(0)))
+        result[word] = (acc[0] + coeff[0], acc[1] + coeff[1])
+
+    triples = []
+    for (w1, w2), c in terms.items():
+        for u, c_u in xi.items():
+            add(w1 + u + w2, _c_mul(c, c_u))
+        for pos in range(len(w1)):
+            if w1[pos] == j:
+                triples.append((w1[:pos], w1[pos + 1:], w2, c))
+        for pos in range(len(w2)):
+            if w2[pos] == j:
+                triples.append((w1, w2[:pos], w2[pos + 1:], c))
+    for outer_left, middle, outer_right, c in triples:
+        tau = moment(middle)
+        add(outer_left + outer_right, (-c[0] * tau, -c[1] * tau))
+    return {w: c for w, c in result.items() if c != (0, 0)}
 
 
 def duality_oracle(trace, p1, p2, i):

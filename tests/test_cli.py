@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import math
 import random
@@ -106,6 +108,59 @@ def test_bad_spec_file_is_a_usage_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["relations", "--spec", str(bad)]) == 2
     assert main(["relations", "--spec", str(tmp_path / "absent.json")]) == 2
+
+
+# -- spec encoding and CSV payloads ----------------------------------------------
+
+
+def test_a_spec_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    document = json.dumps({"n": 1, "trace": {"variant": "semicircular", "variances": ["1"]}})
+    # a UTF-16 file with its byte-order mark, as some editors save JSON
+    path.write_bytes(b"\xff\xfe" + document.encode("utf-16-le"))
+    assert main(["relations", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read spec file: 'utf-8' codec can't decode")
+
+
+def _csv_cell(result: dict, name: str):
+    """The structured result's value at a flattened CSV row name."""
+    for part in name.split("."):
+        result = result[part]
+    return result
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--poly", "3 * Z 1 2 + 1 * Z 1", "--word", "1,2"],
+        ["relations", "--degree", "2"],
+        ["verify-conjugate", "--xi", "2 * Z 1;1 * Z 2", "--degree", "3"],
+        ["duality", "--trials", "3", "--degree", "2"],
+        ["margins", "--xi", "1 * Z 1;1 * Z 2", "--trials", "2", "--degree", "2"],
+        ["report", "--xi", "1 * Z 1;1 * Z 2", "--degree", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_rows_read_back_as_the_structured_result(semicircular_spec, capsys, argv):
+    argv = [argv[0], "--spec", semicircular_spec, *argv[1:]]
+    main(argv)
+    structured = read_result(capsys)[0]["result"]
+    main([*argv, "--format", "csv"])
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows
+    lists = 0
+    for row in rows:
+        assert len(row) == 2, row
+        name, field = row
+        expected = _csv_cell(structured, name)
+        if isinstance(expected, list):
+            lists += 1
+            assert json.loads(field) == expected
+        else:
+            assert field == str(expected)
+    assert lists
 
 
 # -- duality --------------------------------------------------------------------

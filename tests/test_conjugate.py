@@ -7,11 +7,14 @@ import pytest
 
 import ncfree
 from ncfree import (
+    GUE,
     ConjugateCandidate,
     DistributionSpec,
+    EnsembleConfig,
     NcPoly,
     TensorPoly2,
     TraceFunctional,
+    empirical_margins,
 )
 from ncfree.conjugate import (
     check_adjoint,
@@ -34,12 +37,13 @@ from ncfree.errors import (
 from ncfree.ncpoly import words_up_to
 from ncfree.reduction import free_family_certified
 from ncfree.scalars import Scalar
-from ncfree.sweeps import rand_poly, rand_self_adjoint, rand_word
+from ncfree.sweeps import rand_poly, rand_scalar, rand_self_adjoint, rand_word
 from ncfree.trace import ExplicitMoments, FreeFamily, MomentMemo, SemicircularFamily
 
 from conftest import bernoulli_spec, gens
 from oracles import (
     conjugate_failures_oracle,
+    dstar_oracle,
     duality_oracle,
     free_moment_oracle,
     semicircular_moment_oracle,
@@ -426,6 +430,72 @@ def test_dstar_closed_forms_match_general_formula(rng):
             assert dstar(cand, j, TensorPoly2.of(NcPoly.one(2), p)) == dstar_right(
                 cand, j, p
             )
+
+
+def _dstar_cases():
+    """(name, spec, oracle moment of a word) for the dstar cross-check."""
+    variances_3 = (Fraction(1), Fraction(1, 2), Fraction(2))
+    return [
+        ("semicircular-2", DistributionSpec.standard_semicircular(2),
+         lambda w: semicircular_moment_oracle(w, (1, 1))),
+        ("semicircular-3", DistributionSpec(3, SemicircularFamily(variances_3)),
+         lambda w: semicircular_moment_oracle(w, variances_3)),
+        ("free-poisson-2", DistributionSpec(2, FreeFamily((CATALAN, CATALAN))),
+         lambda w: free_moment_oracle(w, [[1] * 8, [1] * 8])),
+    ]
+
+
+@pytest.mark.parametrize("case", _dstar_cases(), ids=lambda case: case[0])
+def test_dstar_matches_the_oracle_on_sums_of_tensors(rng, case):
+    _, spec, moment = case
+    moment = functools.cache(moment)
+    n = spec.n
+    letters = gens(n)
+    # each xi_j has a quadratic term: xi is not linear
+    xi = [
+        rand_poly(rng, n, 2) + Scalar(1, -2) * (letters[j] * letters[0])
+        for j in range(n)
+    ]
+    cand = ConjugateCandidate(xi, spec)
+    for _ in range(25):
+        y = TensorPoly2.zero(n)
+        for _ in range(rng.randint(2, 3)):
+            y = y + rand_scalar(rng) * TensorPoly2.of(rand_poly(rng, n, 3), rand_poly(rng, n, 3))
+        j = rng.randint(1, n)
+        expected = dstar_oracle(
+            {key: (c.re, c.im) for key, c in y.terms.items()},
+            {u: (c.re, c.im) for u, c in xi[j - 1].terms.items()},
+            j,
+            moment,
+        )
+        assert dstar(cand, j, y) == NcPoly(n, {w: Scalar(*c) for w, c in expected.items()})
+
+
+class _UnreadXi(tuple):
+    """A candidate's xi that fails on any read by index."""
+
+    def __getitem__(self, index):
+        raise AssertionError(f"xi[{index}] read before the letter index was checked")
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_every_dstar_entry_point_checks_the_letter_first(j):
+    cand = semicircular_candidate(2)
+    cand.xi = _UnreadXi(cand.xi)
+    z1, z2 = gens(2)
+    y = TensorPoly2.of(z1, z2)
+    config = EnsembleConfig(2, 4, (GUE(),) * 2, 1, 7)
+    calls = [
+        lambda: dstar(cand, j, y),
+        lambda: dstar_left(cand, j, z1),
+        lambda: dstar_right(cand, j, z1),
+        lambda: check_adjoint(cand, j, y, z2),
+        lambda: norm_margins(cand, j, z1, 1.0, z2, 1.0),
+        lambda: empirical_margins(cand, j, z1, config, q=z2),
+    ]
+    for call in calls:
+        with pytest.raises(IndexOutOfRange, match=f"^derivative index {j} outside 1..2$"):
+            call()
 
 
 def test_adjointness_on_random_data(rng):

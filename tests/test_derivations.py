@@ -1,10 +1,9 @@
 import pytest
 
 from ncfree import NcPoly, TensorPoly2
-from ncfree.derivations import d, d_leg_sum
+from ncfree.derivations import d
 from ncfree.errors import IndexOutOfRange
 from ncfree.sweeps import rand_poly
-from ncfree.tensor import TensorPoly3
 
 from conftest import gens
 
@@ -68,24 +67,3 @@ def test_index_out_of_range():
     with pytest.raises(IndexOutOfRange):
         d(0, NcPoly.gen(2, 1))
 
-
-def test_leg_sum_on_elementary_tensor():
-    z1, z2 = gens(2)
-    y = TensorPoly2.of(z1 * z2, z1)
-    out = d_leg_sum(1, y)
-    one = ()
-    expected = TensorPoly3(
-        2,
-        {
-            (one, (2,), (1,)): 1,  # derive the left leg
-            ((1, 2), one, one): 1,  # derive the right leg
-        },
-    )
-    assert out == expected
-
-
-def test_leg_sum_is_linear(rng):
-    for _ in range(15):
-        s = TensorPoly2.of(rand_poly(rng, 2, 3), rand_poly(rng, 2, 3))
-        t = TensorPoly2.of(rand_poly(rng, 2, 3), rand_poly(rng, 2, 3))
-        assert d_leg_sum(2, s + t) == d_leg_sum(2, s) + d_leg_sum(2, t)

@@ -1,9 +1,12 @@
-"""Every name a module of the package imports is used in it."""
+"""Every name a module of the package imports is used in it, and the package
+exports exactly the names its __init__ imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import ncfree
 
 MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "ncfree").glob("*.py"))
 
@@ -46,3 +49,11 @@ def test_no_unused_import(path):
     tree = ast.parse(path.read_text())
     unused = imported_names(tree) - used_names(tree) - exported_names(tree)
     assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    tree = ast.parse(Path(ncfree.__file__).read_text())
+    assert exported_names(tree) == imported_names(tree)
+    assert len(ncfree.__all__) == len(set(ncfree.__all__))
+    for name in ncfree.__all__:
+        assert hasattr(ncfree, name), f"ncfree.__all__ lists {name}, which does not resolve"

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncfree import NcPoly, TensorPoly2
-from ncfree.derivations import d, d_leg_sum
+from ncfree.derivations import d
 from ncfree.errors import GeneratorCountMismatch, IndexOutOfRange
 from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_poly, rand_self_adjoint
@@ -92,8 +92,6 @@ def test_closed_operations_drop_cancelled_terms():
     assert s.sharp(t).terms == {((1, 1), ()): Scalar(1), ((), (1, 1)): Scalar(-1)}
     # m_1 sends both terms of s to Z1
     assert s.collapse(one).terms == {}
-    # both legs of s differentiate to 1 (x) 1 (x) 1
-    assert d_leg_sum(1, s).terms == {}
 
 
 # -- flip ------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from ncfree import (
 from ncfree.errors import DegreeBoundExceeded, NonPositiveMoments, UnknownMoment
 from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_poly
-from ncfree.tensor import TensorPoly3
 from ncfree.trace import (
     ExplicitMoments,
     FreeFamily,
@@ -552,11 +551,6 @@ def test_partial_trace_sides(trace2):
     assert trace2.partial_trace(s, side="right") == NcPoly.zero(2)
     with pytest.raises(ValueError):
         trace2.partial_trace(s, side="middle")
-
-
-def test_middle_contractions(trace2):
-    y = TensorPoly3(2, {((1,), (2, 2), (1, 1)): Scalar(3)})
-    assert trace2.collapse_middle(y) == 3 * NcPoly.monomial(2, (1, 1, 1))
 
 
 def test_partial_traces_compose_to_full_trace(rng, trace2):
