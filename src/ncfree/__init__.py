@@ -24,7 +24,6 @@ from .conjugate import (
     fisher,
 )
 from .reduction import (
-    ProjectionSurrogate,
     delta,
     delta_p,
     extract_leading_coeff,
@@ -66,7 +65,6 @@ __all__ = [
     "norm_margins",
     "dstar",
     "fisher",
-    "ProjectionSurrogate",
     "delta",
     "delta_p",
     "extract_leading_coeff",

@@ -50,7 +50,14 @@ from .conjugate import (
 )
 from .errors import ConjugateCheckFailed, NcfreeError
 from .ncpoly import NcPoly
-from .randmat import RNG_NAME, EnsembleConfig, empirical_margins, sample, spectrum
+from .randmat import (
+    RNG_NAME,
+    EnsembleConfig,
+    check_matrix_count,
+    empirical_margins,
+    sample,
+    spectrum,
+)
 from .reduction import extract_leading_coeff, relation_kernel
 from .scalars import ONE
 from .sweeps import rand_nonzero_poly, rand_word
@@ -344,6 +351,7 @@ def cmd_margins(args, data: dict) -> int:
         try:
             # every trial measures its norms on one seeded ensemble: draw it once
             if samples is None:
+                check_matrix_count(config, spec.n)
                 samples = sample(config)
             report = empirical_margins(cand, j, p, config, samples=samples)
         except ValueError as exc:

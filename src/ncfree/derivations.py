@@ -10,13 +10,13 @@ independent test.
 from __future__ import annotations
 
 from .errors import IndexOutOfRange
-from .ncpoly import NcPoly, Word
+from .ncpoly import NcPoly, Word, is_letter
 from .scalars import Scalar
 from .tensor import TensorPoly2
 
 
 def check_index(j: int, n: int) -> None:
-    if not 1 <= j <= n:
+    if not is_letter(j, n):
         raise IndexOutOfRange(f"derivative index {j} outside 1..{n}")
 
 

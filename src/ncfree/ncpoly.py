@@ -36,11 +36,14 @@ HERMITIAN_TOL = 1e-8
 
 
 def is_letter(letter, n: int) -> bool:
-    """Whether `letter` is an integer generator index in 1..n."""
-    try:
-        operator.index(letter)
-    except TypeError:
-        return False
+    """Whether `letter` is an integer generator index in 1..n; a bool is not."""
+    if type(letter) is not int:
+        if isinstance(letter, bool):
+            return False
+        try:
+            operator.index(letter)
+        except TypeError:
+            return False
     return 1 <= letter <= n
 
 
@@ -187,21 +190,6 @@ class SparseTerms:
             for key in sorted(self.terms, key=sort_key)
         )
 
-    @classmethod
-    def _from_text(cls, text: str, n: int, parse_key):
-        text = text.strip()
-        if text == "0":
-            return cls(n)
-        terms: dict = {}
-        for piece in text.split(" + "):
-            head, sep, tail = piece.partition("*")
-            if not sep:
-                raise ValueError(f"malformed term: {piece!r}")
-            coeff = Scalar.parse(head)
-            key = parse_key(tail)
-            terms[key] = terms.get(key, Scalar(0)) + coeff
-        return cls(n, terms)
-
 
 class NcPoly(SparseTerms):
     """An element of the free *-algebra on n self-adjoint generators."""
@@ -221,7 +209,7 @@ class NcPoly(SparseTerms):
     @staticmethod
     def gen(n: int, i: int) -> "NcPoly":
         """The generator Z_i."""
-        if not 1 <= i <= n:
+        if not is_letter(i, n):
             raise IndexOutOfRange(f"generator index {i} outside 1..{n}")
         return NcPoly(n, {(i,): Scalar(1)})
 
@@ -351,7 +339,18 @@ class NcPoly(SparseTerms):
 
     @staticmethod
     def from_text(text: str, n: int) -> "NcPoly":
-        return NcPoly._from_text(text, n, parse_word)
+        text = text.strip()
+        if text == "0":
+            return NcPoly(n)
+        terms: dict = {}
+        for piece in text.split(" + "):
+            head, sep, tail = piece.partition("*")
+            if not sep:
+                raise ValueError(f"malformed term: {piece!r}")
+            coeff = Scalar.parse(head)
+            word = parse_word(tail)
+            terms[word] = terms.get(word, Scalar(0)) + coeff
+        return NcPoly(n, terms)
 
     def __repr__(self):
         return f"NcPoly({self.n}, {self.to_text()!r})"

@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .conjugate import ConjugateCandidate, MarginsReport, norm_margins
+from .derivations import check_index
 from .errors import EvaluationError
 from .ncpoly import NcPoly
 from .reduction import jacobi
@@ -276,6 +277,13 @@ def _tuples(config: EnsembleConfig) -> Iterator[list[np.ndarray]]:
     return map(_dense, _draws(config))
 
 
+def check_matrix_count(config: EnsembleConfig, n: int) -> None:
+    """Raise the EvaluationError that evaluating an n-letter polynomial on
+    one of the ensemble's tuples would raise."""
+    if config.n != n:
+        raise EvaluationError(f"expected {n} matrices, got {config.n}")
+
+
 def sample(config: EnsembleConfig) -> list[list[np.ndarray]]:
     """One matrix tuple per sample, deterministic in the seed, all resident."""
     return list(_tuples(config))
@@ -290,15 +298,6 @@ def empirical_trace(p: NcPoly, matrices: Sequence[np.ndarray]) -> float:
     """Normalized trace of p evaluated at the tuple (real part)."""
     value = p.evaluate(matrices)
     return float(np.trace(value).real) / value.shape[0]
-
-
-def empirical_inner(
-    p: NcPoly, q: NcPoly, matrices: Sequence[np.ndarray]
-) -> complex:
-    """Normalized trace of p(X) q(X)^dagger."""
-    a = p.evaluate(matrices)
-    b = q.evaluate(matrices)
-    return complex(np.trace(a @ b.conj().T)) / a.shape[0]
 
 
 def _spectral_norm(a: np.ndarray) -> float:
@@ -441,8 +440,7 @@ def spectrum(p: NcPoly, config: EnsembleConfig, bins: int = 100) -> SpectralRepo
     """
     if not p.is_self_adjoint():
         raise ValueError("spectrum requires a self-adjoint polynomial")
-    if config.n != p.n:
-        raise EvaluationError(f"expected {p.n} matrices, got {config.n}")
+    check_matrix_count(config, p.n)
     if all(isinstance(tag, DIAGONAL_TAGS) for tag in config.ensembles):
         # diagonal matrices: the words are elementwise products, and the
         # eigenvalues of the diagonal p(X) are its real entries; row k of
@@ -496,7 +494,12 @@ def empirical_margins(
     `samples` is `sample(config)`, drawn here if not given; a caller that
     checks many polynomials on one ensemble draws it once and passes it.
     The ensemble stays resident, since p and q are measured on the same tuples.
+    The matrix counts and j are checked before anything is drawn.
     """
+    check_matrix_count(config, p.n)
+    if q is not None:
+        check_matrix_count(config, q.n)
+    check_index(j, cand.spec.n)
     if samples is None:
         samples = sample(config)
     p_opnorm = _opnorm(p, samples)

@@ -12,7 +12,6 @@ without that matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .derivations import d
@@ -22,34 +21,20 @@ from .scalars import ONE, ZERO, Scalar
 from .trace import TraceFunctional, check_nonnegative
 
 
-@dataclass(frozen=True)
-class ProjectionSurrogate:
-    """A self-adjoint polynomial standing in for a projection.
-
-    Idempotence is not required: the iterated reduction identity only uses
-    the trace weight tau(p) linearly.
-    """
-
-    p: NcPoly
-    trace_weight: Scalar
-
-    @staticmethod
-    def from_poly(trace: TraceFunctional, p: NcPoly) -> "ProjectionSurrogate":
-        if not p.is_self_adjoint():
-            raise ValueError("projection surrogate must be self-adjoint")
-        return ProjectionSurrogate(p, trace.trace_poly(p))
-
-
 def delta(trace: TraceFunctional, j: int, p: NcPoly) -> NcPoly:
     """(tau (x) id) d_j: trace the left factor of every decomposition."""
     return trace.partial_trace(d(j, p), "left")
 
 
-def delta_p(
-    trace: TraceFunctional, proj: ProjectionSurrogate, j: int, p: NcPoly
-) -> NcPoly:
-    """(tau (x) id)((proj.p (x) 1) d_j p)."""
-    twisted = d(j, p).bimodule_mul(proj.p, NcPoly.one(p.n))
+def delta_p(trace: TraceFunctional, q: NcPoly, j: int, p: NcPoly) -> NcPoly:
+    """(tau (x) id)((q (x) 1) d_j p) for a self-adjoint twist q.
+
+    Idempotence of q is not required: the iterated reduction identity only
+    uses the trace weight tau(q) linearly.
+    """
+    if not q.is_self_adjoint():
+        raise ValueError("the twisting polynomial must be self-adjoint")
+    twisted = d(j, p).bimodule_mul(q, NcPoly.one(p.n))
     return trace.partial_trace(twisted, "left")
 
 

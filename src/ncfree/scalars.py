@@ -118,10 +118,6 @@ class Scalar:
             return self  # immutable, so a real scalar is its own conjugate
         return _triple(self._re, -self._im, self._den)
 
-    def abs2(self) -> Fraction:
-        """|z|^2 as an exact rational."""
-        return Fraction(self._re * self._re + self._im * self._im, self._den * self._den)
-
     # -- predicates / conversions ---------------------------------------
 
     def is_zero(self) -> bool:

@@ -11,7 +11,7 @@ TensorPoly3 is a bare linear carrier that no library code builds.
 
 from __future__ import annotations
 
-from .ncpoly import NcPoly, SparseTerms, parse_word, word_text
+from .ncpoly import NcPoly, SparseTerms, word_text
 from .scalars import Scalar
 
 
@@ -85,20 +85,8 @@ class TensorPoly2(SparseTerms):
             lambda k: (len(k[0]) + len(k[1]), k),
         )
 
-    @staticmethod
-    def from_text(text: str, n: int) -> "TensorPoly2":
-        return TensorPoly2._from_text(text, n, _parse_pair)
-
     def __repr__(self):
         return f"TensorPoly2({self.n}, {self.to_text()!r})"
-
-
-def _parse_pair(text: str):
-    text = text.strip()
-    left, sep, right = text[1:-1].partition("|")
-    if not (text.startswith("(") and text.endswith(")") and sep):
-        raise ValueError(f"malformed tensor monomial: {text!r}")
-    return (parse_word(left), parse_word(right))
 
 
 class TensorPoly3(SparseTerms):

@@ -585,6 +585,9 @@ class TraceFunctional:
         """tau((p* p)^k)^(1/2k): a nondecreasing-in-k operator norm lower bound."""
         if k < 1:
             raise ValueError("power k must be >= 1")
+        if p.terms:
+            # the free algebra has no zero divisors: (p*p)^k has degree 2k deg p
+            self.check_length(2 * k * p.total_degree())
         power = (p.star() * p) ** k
         value = check_nonnegative(self.trace_poly(power), f"tau((p*p)^{k})")
         return float(value.re) ** (1.0 / (2 * k))

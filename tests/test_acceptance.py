@@ -38,12 +38,7 @@ from ncfree.randmat import (
     sample,
     spectrum,
 )
-from ncfree.reduction import (
-    ProjectionSurrogate,
-    delta_p,
-    extract_leading_coeff,
-    relation_kernel,
-)
+from ncfree.reduction import delta_p, extract_leading_coeff, relation_kernel
 from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_nonzero_poly, rand_poly, rand_self_adjoint, rand_word
 
@@ -172,15 +167,12 @@ def test_criterion_06_reduction(capsys):
         p = rand_nonzero_poly(rng, 2, 4)
         degree = p.total_degree()
         word = rand_word(rng, 2, degree, min_len=degree)
-        projs = [
-            ProjectionSurrogate.from_poly(trace, rand_self_adjoint(rng, 2, 2))
-            for _ in word
-        ]
+        twists = [rand_self_adjoint(rng, 2, 2) for _ in word]
         current = p
         weight = Scalar(1)
-        for proj, letter in zip(projs, word):
-            current = delta_p(trace, proj, letter, current)
-            weight = weight * proj.trace_weight
+        for q, letter in zip(twists, word):
+            current = delta_p(trace, q, letter, current)
+            weight = weight * trace.trace_poly(q)
         if current.coeff(()) != weight * p.coeff(word):
             ok = False
             break

@@ -450,6 +450,35 @@ def test_margins_draws_its_ensemble_once(semicircular_spec, capsys, monkeypatch)
     assert document["result"]["reports"] == expected
 
 
+def test_margins_checks_the_matrix_count_before_it_draws(tmp_path, capsys, monkeypatch):
+    draws = []
+    original = randmat._draw
+
+    def counting(*args):
+        draws.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(randmat, "_draw", counting)
+    path = tmp_path / "three-matrices.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "trace": {"variant": "semicircular", "variances": ["1", "1"]},
+                "ensemble": {
+                    "n": 3, "dim": 200, "samples": 5, "matrices": [{"kind": "gue"}] * 3
+                },
+            }
+        )
+    )
+    argv = ["margins", "--spec", str(path), "--xi", "1 * Z 1;1 * Z 2", "--trials", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected 2 matrices, got 3\n"
+    assert draws == []
+
+
 @pytest.mark.parametrize("slack", ["nan", "inf", "-inf"])
 def test_non_finite_slack_is_a_usage_error(semicircular_spec, capsys, slack):
     # NaN would fail every margin and +inf pass every one

@@ -66,4 +66,8 @@ def test_index_out_of_range():
         d(3, NcPoly.gen(2, 1))
     with pytest.raises(IndexOutOfRange):
         d(0, NcPoly.gen(2, 1))
+    # an index must be an integer letter, not a float or a bool inside 1..n
+    for j in (1.5, True):
+        with pytest.raises(IndexOutOfRange, match=f"^derivative index {j} outside 1..2$"):
+            d(j, NcPoly.gen(2, 1))
 

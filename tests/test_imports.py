@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in it, and the package
-exports exactly the names its __init__ imports."""
+"""Every name a module of the package imports is used in it, the package
+exports exactly the names its __init__ imports, and every public function or
+class has a caller."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 
 import ncfree
 
-MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "ncfree").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "ncfree").glob("*.py"))
 
 
 def imported_names(tree):
@@ -57,3 +59,35 @@ def test_the_package_exports_exactly_what_it_imports():
     assert len(ncfree.__all__) == len(set(ncfree.__all__))
     for name in ncfree.__all__:
         assert hasattr(ncfree, name), f"ncfree.__all__ lists {name}, which does not resolve"
+
+
+def referenced_names(node):
+    """Every name or attribute read in the tree, quoted annotations included."""
+    return used_names(node) | {
+        sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+    }
+
+
+def test_every_public_name_has_a_caller():
+    # A name counts as called when another top-level statement of src/ names
+    # it (the package's __init__ re-exports aside), or perfbench/ or the
+    # acceptance suite does.  `main` finds the cmd_* handlers by name.
+    callers = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    named = set()
+    for path in callers:
+        named |= referenced_names(ast.parse(path.read_text()))
+    public = {}
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            own = getattr(node, "name", None)
+            named |= referenced_names(node) - {own}
+            if (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not own.startswith("_")
+                and not own.startswith("cmd_")
+            ):
+                public[own] = path.name
+    uncalled = sorted(f"{module}:{name}" for name, module in public.items() if name not in named)
+    assert not uncalled, f"public names that nothing calls: {uncalled}"

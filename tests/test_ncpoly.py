@@ -74,6 +74,12 @@ def test_letters_must_be_integers():
         NcPoly(2, {(1.5,): 1})
     with pytest.raises(IndexOutOfRange):
         NcPoly(2, {("1",): 1})
+    # nor is a bool: its text `Z True` would not parse back either
+    with pytest.raises(IndexOutOfRange, match="True"):
+        NcPoly(2, {(True,): 1})
+    for i in (True, 1.5):
+        with pytest.raises(IndexOutOfRange, match=f"^generator index {i} outside 1..2$"):
+            NcPoly.gen(2, i)
 
 
 # -- star -----------------------------------------------------------------

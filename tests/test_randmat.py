@@ -13,13 +13,12 @@ from ncfree import (
     NcPoly,
 )
 from ncfree.conjugate import MarginsReport, norm_margins
-from ncfree.errors import EvaluationError
+from ncfree.errors import EvaluationError, IndexOutOfRange
 from ncfree.randmat import (
     GUE,
     DiagonalFromMoments,
     DiagonalRademacher,
     atom_scan,
-    empirical_inner,
     empirical_margins,
     empirical_trace,
     kernel_traciality,
@@ -208,16 +207,6 @@ def test_mixed_moment_convergence():
     nested = [empirical_trace(z1 * z2 * z2 * z1, mats) for mats in sample(config)]
     assert abs(np.mean(alternating)) < 0.1
     assert abs(np.mean(nested) - 1.0) < 0.1
-
-
-def test_empirical_inner_is_hermitian():
-    config = gue_config(2, 50, 1)
-    mats = sample(config)[0]
-    z1, z2 = gens(2)
-    p, q = z1 * z2, z2 * z1
-    assert empirical_inner(p, q, mats) == pytest.approx(
-        np.conj(empirical_inner(q, p, mats))
-    )
 
 
 def test_opnorm_estimate_of_gue():
@@ -546,6 +535,25 @@ def test_empirical_margins_are_norm_margins_at_the_measured_norms():
         assert isinstance(measured, MarginsReport)
         for field in dataclasses.fields(MarginsReport):
             assert getattr(measured, field.name) == getattr(given, field.name), field.name
+
+
+def test_empirical_margins_checks_before_it_draws(monkeypatch):
+    draws = []
+
+    def counting_draw(*args):
+        draws.append(args)
+        return _draw(*args)
+
+    monkeypatch.setattr("ncfree.randmat._draw", counting_draw)
+    cand = ConjugateCandidate(gens(2), DistributionSpec.standard_semicircular(2))
+    z1, z2 = gens(2)
+    with pytest.raises(IndexOutOfRange, match="^derivative index 3 outside 1..2$"):
+        empirical_margins(cand, 3, z1 * z2, gue_config(2, 200, 5))
+    with pytest.raises(EvaluationError, match="^expected 2 matrices, got 3$"):
+        empirical_margins(cand, 1, z1 * z2, gue_config(3, 200, 5))
+    with pytest.raises(EvaluationError, match="^expected 3 matrices, got 2$"):
+        empirical_margins(cand, 1, z1 * z2, gue_config(2, 200, 5), q=NcPoly.gen(3, 1))
+    assert draws == []
 
 
 def test_unit_polynomial_margin_is_tight():

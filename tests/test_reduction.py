@@ -11,7 +11,6 @@ from ncfree import DistributionSpec, NcPoly, TraceFunctional
 from ncfree.errors import DegreeBoundExceeded, NonPositiveMoments
 from ncfree.ncpoly import words_up_to
 from ncfree.reduction import (
-    ProjectionSurrogate,
     delta,
     delta_p,
     extract_leading_coeff,
@@ -85,38 +84,32 @@ def test_extract_random_polynomials(rng, trace2):
 # -- twisted reduction ----------------------------------------------------------------
 
 
-def test_projection_surrogate_rejects_non_self_adjoint(trace2):
-    z1, z2 = gens(2)
+def test_delta_p_rejects_a_twist_that_is_not_self_adjoint(trace2):
+    z1, _ = gens(2)
     with pytest.raises(ValueError):
-        ProjectionSurrogate.from_poly(trace2, Scalar(0, 1) * z1)
-    proj = ProjectionSurrogate.from_poly(trace2, z1 * z1)
-    assert proj.trace_weight == Scalar(1)
+        delta_p(trace2, Scalar(0, 1) * z1, 1, z1)
 
 
 def test_delta_p_with_unit_weight_is_delta(rng, trace2):
-    proj = ProjectionSurrogate.from_poly(trace2, NcPoly.one(2))
     for _ in range(15):
         p = rand_nonzero_poly(rng, 2, 4)
-        assert delta_p(trace2, proj, 1, p) == delta(trace2, 1, p)
+        assert delta_p(trace2, NcPoly.one(2), 1, p) == delta(trace2, 1, p)
 
 
 def test_weighted_iteration_identity(rng, trace2):
-    # iterating delta_{p_k, i_k} along the word of a maximal-degree term
-    # yields prod tau(p_k) times that term's coefficient
+    # iterating delta_{q_k, i_k} along the word of a maximal-degree term
+    # yields prod tau(q_k) times that term's coefficient
     for _ in range(30):
         p = rand_nonzero_poly(rng, 2, 4)
         degree = p.total_degree()
         word = rand_word(rng, 2, degree, min_len=degree)
-        projs = [
-            ProjectionSurrogate.from_poly(trace2, rand_self_adjoint(rng, 2, 2))
-            for _ in word
-        ]
+        twists = [rand_self_adjoint(rng, 2, 2) for _ in word]
         current = p
-        for proj, letter in zip(projs, word):
-            current = delta_p(trace2, proj, letter, current)
+        for q, letter in zip(twists, word):
+            current = delta_p(trace2, q, letter, current)
         weight = Scalar(1)
-        for proj in projs:
-            weight = weight * proj.trace_weight
+        for q in twists:
+            weight = weight * trace2.trace_poly(q)
         assert current.coeff(()) == weight * p.coeff(word)
         assert current.total_degree() <= 0
 

@@ -487,6 +487,14 @@ def test_explicit_table_rejects_out_of_range_letters():
         explicit(2, 2, {(): 1, (1.5,): 0})
     with pytest.raises(ValueError, match="outside 1..2"):
         explicit(2, 2, {(): 1, ("1",): 0})
+    # nor is a bool, which JSON spells `true`
+    with pytest.raises(ValueError, match="letter True outside 1..2"):
+        explicit(2, 2, {(): 1, (True,): 0})
+    with pytest.raises(ValueError, match="letter True outside 1..1"):
+        DistributionSpec.from_dict(
+            {"n": 1, "variant": "explicit", "degree": 2,
+             "moments": [{"word": [True], "value": "0"}]}
+        )
 
 
 def test_explicit_table_empty_word_must_be_one():
@@ -605,6 +613,27 @@ def test_opnorm_lower_is_nondecreasing(semi1):
     z1 = NcPoly.gen(1, 1)
     values = [trace.opnorm_lower(z1, k) for k in (1, 2, 3)]
     assert values[0] <= values[1] <= values[2] <= 2.0 + 1e-12
+
+
+def test_opnorm_lower_checks_the_length_before_it_expands(monkeypatch):
+    # (p*p)^4 has degree 16: the bound is known before any product is formed
+    trace = TraceFunctional(DistributionSpec.standard_semicircular(3), degree_bound=12)
+    z1, z2, z3 = gens(3)
+    p = z1 * z2 + z2 * z3 + z3 * z1 + z1
+    products = []
+    multiply = NcPoly.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(NcPoly, "__mul__", counting)
+    with pytest.raises(DegreeBoundExceeded, match="^word length 16 exceeds degree bound 12$"):
+        trace.opnorm_lower(p, 4)
+    assert products == []
+    # within the bound the estimate is formed as before, and 0 has norm 0
+    assert trace.opnorm_lower(p, 1) > 0
+    assert trace.opnorm_lower(NcPoly.zero(3), 4) == 0.0
 
 
 # -- serialization -----------------------------------------------------------------
