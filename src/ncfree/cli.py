@@ -6,14 +6,14 @@ timestamps and therefore byte-identical across reruns with the same seed.
 
 `main(argv)` returns the exit status and may be called many times in one
 process: the argument parser is built on the first call and reused, and no
-call sees another's flags.  Calls on one free distribution share its exact
-moment memo (`ncfree.trace`), and beside it the conjugate relations' left
-sides and the free-family certificate of `relations`, so a later call reads
-the words and verdicts an earlier one computed; calls on an explicit table
-do not.  Calls on one spec file text share the DistributionSpec parsed from
-it (`distribution_from`); the file is still read and hashed on every call, so
-an edited file is parsed again.  The first call pays for all of this in full.
-argparse still raises SystemExit(2) on a bad flag and SystemExit(0) on --help.
+call sees another's flags.  Calls on one spec file text share the
+TraceFunctional built from it (`trace_from`), and with it everything that
+functional computed: its exact moment memo, the conjugate relations' left
+sides and the free-family certificate of `relations`.  So a later call
+reads the words and verdicts an earlier one computed.  The file is still
+read and hashed on every call, so an edited file builds a new functional.
+The first call on a text pays for all of this in full.  argparse still
+raises SystemExit(2) on a bad flag and SystemExit(0) on --help.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 or configuration error, 3 internal error.  A negative --degree or --trials,
@@ -61,13 +61,7 @@ from .randmat import (
 from .reduction import extract_leading_coeff, relation_kernel
 from .scalars import ONE
 from .sweeps import rand_nonzero_poly, rand_word
-from .trace import (
-    DEFAULT_DEGREE_BOUND,
-    SHARED_DISTRIBUTIONS,
-    DistributionSpec,
-    TraceFunctional,
-    json_int,
-)
+from .trace import DEFAULT_DEGREE_BOUND, DistributionSpec, TraceFunctional, json_int
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -109,20 +103,24 @@ def spec_section(data: dict, name: str) -> dict:
     return dict(section)
 
 
-#: spec-file digest -> the DistributionSpec parsed from that file text, oldest first
-_parsed_specs: dict[str, DistributionSpec] = {}
+#: spec file texts whose trace functionals a process keeps
+SHARED_DISTRIBUTIONS = 8
+
+#: spec-file digest -> the TraceFunctional built from that file text, oldest first
+_traces: dict[str, TraceFunctional] = {}
 
 
-def distribution_from(data: dict) -> DistributionSpec:
-    """The spec file's distribution, parsed once per file text in the process.
+def trace_from(data: dict) -> TraceFunctional:
+    """The spec file's trace functional, built once per file text in the process.
 
     It is keyed by the text's sha256 (`load_spec_file`), so a file edited
-    between calls is parsed again, and a spec that fails to parse is never
-    kept.  At most SHARED_DISTRIBUTIONS texts are kept; the oldest goes first.
+    between calls builds a new one, and a trace section or degree_bound that
+    fails to parse is never kept.  At most SHARED_DISTRIBUTIONS texts are
+    kept; the oldest goes first.
     """
     digest = data["_digest"]
-    spec = _parsed_specs.get(digest)
-    if spec is None:
+    trace = _traces.get(digest)
+    if trace is None:
         section = spec_section(data, "trace")
         section.setdefault("n", data.get("n"))
         if section["n"] is None:
@@ -131,10 +129,15 @@ def distribution_from(data: dict) -> DistributionSpec:
             spec = DistributionSpec.from_dict(section)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad trace section: {exc}") from exc
-        if len(_parsed_specs) >= SHARED_DISTRIBUTIONS:
-            del _parsed_specs[next(iter(_parsed_specs))]
-        _parsed_specs[digest] = spec
-    return spec
+        try:
+            bound = json_int(data.get("degree_bound", DEFAULT_DEGREE_BOUND), "degree_bound", 0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        trace = TraceFunctional(spec, bound)
+        if len(_traces) >= SHARED_DISTRIBUTIONS:
+            del _traces[next(iter(_traces))]
+        _traces[digest] = trace
+    return trace
 
 
 def ensemble_from(data: dict, seed: int) -> EnsembleConfig:
@@ -167,22 +170,10 @@ def parse_poly(text: str | None, n: int) -> NcPoly:
         raise ConfigError(f"bad --poly: {exc}") from exc
 
 
-def degree_bound_from(data: dict) -> int:
-    bound = data.get("degree_bound", DEFAULT_DEGREE_BOUND)
-    try:
-        return json_int(bound, "degree_bound", 0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def trace_from(data: dict) -> TraceFunctional:
-    return TraceFunctional(distribution_from(data), degree_bound_from(data))
-
-
-def candidate_from(args, data: dict, spec: DistributionSpec) -> ConjugateCandidate:
-    """The conjugate candidate given by --xi for the spec's trace."""
-    xi = parse_xi(args.xi, spec.n)
-    return ConjugateCandidate(xi, spec, degree_bound=degree_bound_from(data))
+def candidate_from(args, data: dict) -> ConjugateCandidate:
+    """The conjugate candidate given by --xi for the spec file's trace."""
+    trace = trace_from(data)
+    return ConjugateCandidate(parse_xi(args.xi, trace.spec.n), trace)
 
 
 def relations_block(trace: TraceFunctional, degree: int) -> dict:
@@ -264,7 +255,7 @@ def _flatten_csv(result: dict, prefix: str = "") -> list[list[str]]:
 
 
 def cmd_verify_conjugate(args, data: dict) -> int:
-    cand = candidate_from(args, data, distribution_from(data))
+    cand = candidate_from(args, data)
     report = check_conjugate(cand, args.degree)
     emit(args, data, report.to_dict())
     return EXIT_OK if report.passed else EXIT_FAILED
@@ -324,9 +315,9 @@ def cmd_relations(args, data: dict) -> int:
 
 
 def cmd_spectrum(args, data: dict) -> int:
-    spec = distribution_from(data)
+    n = trace_from(data).spec.n
     config = ensemble_from(data, args.seed)
-    poly = parse_poly(args.poly, spec.n)
+    poly = parse_poly(args.poly, n)
     try:
         report = spectrum(poly, config)
     except ValueError as exc:
@@ -338,20 +329,20 @@ def cmd_spectrum(args, data: dict) -> int:
 
 def cmd_margins(args, data: dict) -> int:
     """Margins of random polynomials, all measured on one resident ensemble."""
-    spec = distribution_from(data)
+    n = trace_from(data).spec.n
     config = ensemble_from(data, args.seed)
-    cand = candidate_from(args, data, spec)
+    cand = candidate_from(args, data)
     rng = random.Random(args.seed)
     results = []
     worst = float("inf")
     samples = None
     for _ in range(args.trials):
-        p = rand_nonzero_poly(rng, spec.n, args.degree)
-        j = rng.randint(1, spec.n)
+        p = rand_nonzero_poly(rng, n, args.degree)
+        j = rng.randint(1, n)
         try:
             # every trial measures its norms on one seeded ensemble: draw it once
             if samples is None:
-                check_matrix_count(config, spec.n)
+                check_matrix_count(config, n)
                 samples = sample(config)
             report = empirical_margins(cand, j, p, config, samples=samples)
         except ValueError as exc:
@@ -368,7 +359,7 @@ def cmd_margins(args, data: dict) -> int:
 
 
 def cmd_report(args, data: dict) -> int:
-    cand = candidate_from(args, data, distribution_from(data))
+    cand = candidate_from(args, data)
     try:
         info = fisher(cand, degree=args.degree)
     except ConjugateCheckFailed as exc:

@@ -1,7 +1,8 @@
 """Conjugate variables: relation checking, the adjoint formula and bounds.
 
-A candidate is a tuple of polynomials (xi_1, ..., xi_n) together with a
-distribution specification.  check_conjugate tests the defining relations
+A candidate is a tuple of polynomials (xi_1, ..., xi_n) together with the
+TraceFunctional of a distribution.  check_conjugate tests the defining
+relations
 
     (tau (x) tau)(d_j P) = tau(xi_j P)
 
@@ -20,10 +21,9 @@ straight from the trace's memo, a stored 0 included; a miss goes through
 TraceFunctional.moment.
 
 The left side at w depends on the distribution alone, not on the
-candidate.  It is summed once and kept beside the moment memo
-(trace.MomentMemo), so it is shared as the moments are: by every functional
-on one free distribution in the process, and per functional on a table.
-Another candidate, a report after a verification, or a deeper sweep reads
+candidate.  It is summed once and kept on the trace functional
+(TraceFunctional.left_sides), beside its moment memo, so another candidate
+on that functional, a report after a verification, or a deeper sweep reads
 it instead of summing the splits again.
 
 The relations have a reversal symmetry.  The generators are self-adjoint,
@@ -50,15 +50,11 @@ from dataclasses import dataclass
 from typing import Container, Iterator, Sequence
 
 from .derivations import check_index, d
-from .errors import ConjugateCheckFailed, UnknownMoment
+from .errors import ConjugateCheckFailed, DegreeBoundExceeded, UnknownMoment
 from .ncpoly import NcPoly, Word
 from .scalars import ZERO, Scalar
 from .tensor import TensorPoly2
-from .trace import (
-    DEFAULT_DEGREE_BOUND,
-    DistributionSpec,
-    TraceFunctional,
-)
+from .trace import TraceFunctional
 
 
 @dataclass(frozen=True)
@@ -84,14 +80,11 @@ class VerificationReport:
 
 
 class ConjugateCandidate:
-    """Polynomial candidate (xi_1, ..., xi_n) for the conjugate system."""
+    """Polynomial candidate (xi_1, ..., xi_n) for the conjugate system of the
+    trace functional `trace`."""
 
-    def __init__(
-        self,
-        xi: Sequence[NcPoly],
-        spec: DistributionSpec,
-        degree_bound: int = DEFAULT_DEGREE_BOUND,
-    ):
+    def __init__(self, xi: Sequence[NcPoly], trace: TraceFunctional):
+        spec = trace.spec
         xi = tuple(xi)
         if len(xi) != spec.n:
             raise ValueError(f"need {spec.n} candidate vectors, got {len(xi)}")
@@ -100,7 +93,7 @@ class ConjugateCandidate:
                 raise ValueError("candidate polynomial over the wrong algebra")
         self.xi = xi
         self.spec = spec
-        self.trace = TraceFunctional(spec, degree_bound)
+        self.trace = trace
 
     def self_adjointness(self) -> list[bool]:
         return [p.is_self_adjoint() for p in self.xi]
@@ -177,9 +170,8 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
 
     Words are walked shortest first, in lexicographic order, and a word on
     which every relation is 0 = 0 by parity is never built.  The left sides
-    are read from and added to the store beside the trace's moment memo
-    (`trace.MomentMemo`).  A failure is (j, w, lhs, rhs); the failures come
-    sorted by j, then length, then word.
+    are read from and added to the trace's `left_sides`.  A failure is
+    (j, w, lhs, rhs); the failures come sorted by j, then length, then word.
     """
     trace = cand.trace
     xi_degrees = [int(p.total_degree()) for p in cand.xi if not p.is_zero()]
@@ -202,7 +194,7 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
         for u, coeff in p.terms.items():
             by_mask.setdefault(_mask(u, bits), []).append((u, coeff))
         for word_mask in {bits[j], *by_mask}:
-            sides = trace._memo.left_sides.setdefault(j, {}) if word_mask == bits[j] else None
+            sides = trace.left_sides.setdefault(j, {}) if word_mask == bits[j] else None
             relations.setdefault(word_mask, []).append((j, sides, by_mask.get(word_mask, ())))
     mirror = trace.free and all(cand.self_adjointness())
     failures = []
@@ -286,6 +278,21 @@ def check_duality(
     """
     check_index(i, p2.n)
     p2._check_compatible(p1)
+    try:
+        difference = _duality_difference(trace, p1, p2, i)
+    except (DegreeBoundExceeded, UnknownMoment):
+        # a length error names the longest v = x y[:k], whatever the order of
+        # the terms, and comes before a missing word, as in partial_trace
+        heads = [len(y) - 1 - y[::-1].index(i) for y in p2.terms if i in y]
+        trace.check_length(max(map(len, p1.terms)) + max(heads))
+        raise
+    return not any(difference.values())
+
+
+def _duality_difference(
+    trace: TraceFunctional, p1: NcPoly, p2: NcPoly, i: int
+) -> dict[Word, Scalar]:
+    """The coefficients conj(a b) (conj tau(v) - tau(v*)) of check_duality, by word."""
     moment = trace.moment
     cached = trace._memo.get
     # a table lacking tau(v*) raises once every tau(v) is read, for the last
@@ -316,7 +323,7 @@ def check_duality(
                     difference[key] = difference.get(key, ZERO) + value
     if missing is not None:
         moment(missing)
-    return not any(difference.values())
+    return difference
 
 
 @dataclass(frozen=True)

@@ -217,10 +217,6 @@ class NcPoly(SparseTerms):
     def monomial(n: int, word: Iterable[int], coeff=1) -> "NcPoly":
         return NcPoly(n, {tuple(word): coeff})
 
-    @staticmethod
-    def constant(n: int, coeff) -> "NcPoly":
-        return NcPoly(n, {(): coeff})
-
     def _lift(self, other):
         """A scalar operand as the constant polynomial; anything else as is."""
         if isinstance(other, _SCALARS):
@@ -237,14 +233,6 @@ class NcPoly(SparseTerms):
         if not self.terms:
             return NEG_INF
         return max(len(w) for w in self.terms)
-
-    def leading_part(self) -> "NcPoly":
-        if not self.terms:
-            raise ValueError("leading part of the zero polynomial")
-        d = self.total_degree()
-        return NcPoly._trusted(
-            self.n, {w: c for w, c in self.terms.items() if len(w) == d}
-        )
 
     def is_self_adjoint(self) -> bool:
         return self == self.star()

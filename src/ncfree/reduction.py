@@ -204,15 +204,15 @@ def free_family_certified(trace: TraceFunctional, degree: int) -> bool:
     left to the Gram matrix, which finds the witnesses or the error.
 
     The verdict depends on the family and the degree alone, so it is kept in
-    the shared memo's `certified` store: the first call at a degree runs the
-    per-letter test, and later calls in the process read it.  The two early
-    False answers store nothing.
+    the functional's `certified` store: the first call at a degree runs the
+    per-letter test, and later calls on that functional read it.  The two
+    early False answers store nothing.
     """
     if not trace.free:
         return False
     if not 0 <= 2 * degree <= trace.max_word_length:
         return False
-    certified = trace._memo.certified
+    certified = trace.certified
     if degree not in certified:
         certified[degree] = _letters_positive(trace, degree)
     return certified[degree]

@@ -30,6 +30,7 @@ inversion into cumulants never use the rule.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -389,75 +390,21 @@ def check_nonnegative(value: Scalar, quantity: str) -> Scalar:
 # the trace functional
 # ---------------------------------------------------------------------------
 
-#: free distributions whose moment memos and cumulants a process keeps
-SHARED_DISTRIBUTIONS = 8
-
-
-class MomentMemo(dict):
-    """word -> tau(word), and beside it what is computed from those moments alone.
-
-    `left_sides[j][w]` is (tau (x) tau)(d_j w), the left side of the conjugate
-    relation at w, which conjugate.check_conjugate fills.  `certified[d]` is
-    the per-letter Hankel verdict of reduction.free_family_certified at
-    degree d, which that function fills the first time it is asked.  Both
-    live and are cleared with the moments they come from, so the first call
-    on a family pays in full and later calls in the process read them; a
-    private copy, MomentMemo(memo), starts with both empty.
-    """
-
-    __slots__ = ("left_sides", "certified")
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.left_sides: dict[int, dict[Word, Scalar]] = {}
-        self.certified: dict[int, bool] = {}
-
-
-@functools.lru_cache(maxsize=SHARED_DISTRIBUTIONS)
-def _shared_memo(spec: DistributionSpec, max_word_length: int) -> MomentMemo:
-    """The memo that every TraceFunctional on the free family `spec` with this
-    max_word_length fills, seeded with tau() = 1 and each letter's moments."""
-    memo = MomentMemo({(): ONE})
-    if isinstance(spec.variant, FreeFamily):
-        for letter, seq in enumerate(spec.variant.moments, start=1):
-            for k, m_k in enumerate(seq[:max_word_length], start=1):
-                memo[(letter,) * k] = Scalar(m_k)
-    return memo
-
-
-@functools.lru_cache(maxsize=SHARED_DISTRIBUTIONS)
-def _spec_cumulants(spec: DistributionSpec) -> tuple[tuple[Scalar, ...], ...]:
-    """Per letter of a free family, kappa_1..kappa_m cut after the last
-    nonzero cumulant: no block of that letter can be longer than m."""
-    variant = spec.variant
-    if isinstance(variant, SemicircularFamily):
-        kappas = [[0, v] for v in variant.variances]
-    else:
-        kappas = [free_cumulants(seq) for seq in variant.moments]
-    cumulants = []
-    for kappa in kappas:
-        kappa = [Scalar(k) for k in kappa]
-        while kappa and not kappa[-1]:
-            kappa.pop()
-        cumulants.append(tuple(kappa))
-    return tuple(cumulants)
-
-
 class TraceFunctional:
     """tau induced by a DistributionSpec, memoized over raw words.
 
     The variant is resolved once, in __init__, so `moment` only compares the
-    word length with the tightest limit and looks the word up.  Functionals
-    on one free family with one max_word_length share a memo in the process
-    (`_shared_memo`), which starts with each letter's own moments, so the free
-    cumulants are inverted only by a mixed-word miss or symmetric_letters, at
-    most once per family (`_spec_cumulants`).  The conjugate relations' left
-    sides and the free-family certificate's per-degree verdicts are kept in
-    the memo as well (`MomentMemo`), so they are shared the same way: the
-    first call on a family pays in full, later ones in the process read them.
-    A table keeps its own memo and left sides, and is never certified.
-    A free-family miss is summed without recursion (`_nc_moment`), so only
-    a word past the stated limits raises DegreeBoundExceeded.
+    word length with the tightest limit and looks the word up.  A functional
+    owns everything computed from its tau alone: the moment memo, which
+    starts with tau() = 1 and each free letter's own moments or the table's
+    entries; the free cumulants, inverted once and only by a mixed-word miss
+    or symmetric_letters; the conjugate relations' left sides; and the
+    free-family certificate's per-degree verdicts.  So the first call on a
+    functional pays in full and later calls on it read them; a caller that
+    wants them shared keeps the functional (the CLI keeps one per spec text).
+    A table is never certified.  A free-family miss is summed without
+    recursion (`_nc_moment`), so only a word past the stated limits raises
+    DegreeBoundExceeded.
     """
 
     def __init__(self, spec: DistributionSpec, degree_bound: int = DEFAULT_DEGREE_BOUND):
@@ -478,17 +425,36 @@ class TraceFunctional:
         self.max_word_length = min(limit for limit, _ in self._limits)
         # the memo holds only words `moment` accepts, so a hit can be read
         # straight from it (check_conjugate does)
-        if self.free:
-            self._memo = _shared_memo(spec, self.max_word_length)
-        else:
-            self._memo = MomentMemo({(): ONE})
+        self._memo: dict[Word, Scalar] = {(): ONE}
+        if isinstance(variant, FreeFamily):
+            for letter, seq in enumerate(variant.moments, start=1):
+                for k, m_k in enumerate(seq[:self.max_word_length], start=1):
+                    self._memo[(letter,) * k] = Scalar(m_k)
+        elif not self.free:
             for word, value in variant.table.items():
                 if len(word) <= self.max_word_length:
                     self._memo[word] = value
+        #: left_sides[j][w] = (tau (x) tau)(d_j w), filled by conjugate.check_conjugate
+        self.left_sides: dict[int, dict[Word, Scalar]] = {}
+        #: certified[d] = the verdict of reduction.free_family_certified at degree d
+        self.certified: dict[int, bool] = {}
 
     @functools.cached_property
     def _cumulants(self) -> tuple[tuple[Scalar, ...], ...]:
-        return _spec_cumulants(self.spec)
+        """Per letter of a free family, kappa_1..kappa_m cut after the last
+        nonzero cumulant: no block of that letter can be longer than m."""
+        variant = self.spec.variant
+        if isinstance(variant, SemicircularFamily):
+            kappas = [[0, v] for v in variant.variances]
+        else:
+            kappas = [free_cumulants(seq) for seq in variant.moments]
+        cumulants = []
+        for kappa in kappas:
+            kappa = [Scalar(k) for k in kappa]
+            while kappa and not kappa[-1]:
+                kappa.pop()
+            cumulants.append(tuple(kappa))
+        return tuple(cumulants)
 
     @functools.cached_property
     def symmetric_letters(self) -> tuple[int, ...]:
@@ -526,7 +492,13 @@ class TraceFunctional:
 
     # -- linear extensions --------------------------------------------------
 
+    def _check_words(self, words) -> None:
+        """Raise what `moment` raises on the longest of `words`, so a sum that
+        reads them reports the same length whatever their order."""
+        self.check_length(max(map(len, words), default=0))
+
     def trace_poly(self, p: NcPoly) -> Scalar:
+        self._check_words(p.terms)
         total = Scalar(0)
         for word, coeff in p.terms.items():
             total = total + coeff * self.moment(word)
@@ -534,6 +506,7 @@ class TraceFunctional:
 
     def trace_tensor(self, s: TensorPoly2) -> Scalar:
         """(tau (x) tau): multiply the two legs' moments."""
+        self._check_words(itertools.chain.from_iterable(s.terms))
         total = Scalar(0)
         for (w1, w2), coeff in s.terms.items():
             total = total + coeff * self.moment(w1) * self.moment(w2)
@@ -546,9 +519,11 @@ class TraceFunctional:
         """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        left = side == "left"
+        self._check_words(key[0 if left else 1] for key in s.terms)
         terms: dict[Word, Scalar] = {}
         for (w1, w2), coeff in s.terms.items():
-            traced, kept = (w1, w2) if side == "left" else (w2, w1)
+            traced, kept = (w1, w2) if left else (w2, w1)
             moment = self.moment(traced)
             if moment.is_zero():
                 continue
@@ -569,10 +544,6 @@ class TraceFunctional:
     def norm2(self, p: NcPoly) -> float:
         """The L2 norm tau(p p*)^(1/2) as a float."""
         return math.sqrt(float(self.inner(p, p).re))
-
-    def norm2_squared(self, p: NcPoly) -> Fraction:
-        """Exact rational tau(p p*)."""
-        return self.inner(p, p).re
 
     def inner2(self, s: TensorPoly2, u: TensorPoly2) -> Scalar:
         """<s, u> = (tau (x) tau)(s u*) under the componentwise product."""

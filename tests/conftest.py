@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -14,13 +15,10 @@ from ncfree.trace import ExplicitMoments
 
 
 @pytest.fixture(autouse=True)
-def cold_moment_caches():
-    """Start each test from empty shared moment memos, cumulants and parsed
-    specs, as a new process does, so no test reads what another one computed
-    or wrote."""
-    ncfree.trace._shared_memo.cache_clear()
-    ncfree.trace._spec_cumulants.cache_clear()
-    ncfree.cli._parsed_specs.clear()
+def cold_trace_cache():
+    """Start each test with no trace functional kept by the CLI, as a new
+    process does, so no test reads what another one computed or wrote."""
+    ncfree.cli._traces.clear()
 
 
 @pytest.fixture
@@ -47,6 +45,12 @@ def bernoulli_spec(max_degree: int = 4) -> DistributionSpec:
     """Single symmetric Bernoulli variable: m_k = 0 odd, 1 even."""
     table = {(1,) * k: Scalar(0 if k % 2 else 1) for k in range(max_degree + 1)}
     return DistributionSpec(1, ExplicitMoments(table, max_degree))
+
+
+def write_spec(path, spec: DistributionSpec, **fields) -> str:
+    """Write a spec file whose trace section is `spec`; return its path."""
+    path.write_text(json.dumps({"trace": spec.to_dict(), **fields}))
+    return str(path)
 
 
 def gens(n: int) -> list[NcPoly]:

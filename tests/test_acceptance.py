@@ -98,10 +98,10 @@ def test_criterion_02_derivative_examples(capsys):
 def test_criterion_03_conjugate_relations(capsys):
     start = time.perf_counter()
     spec = DistributionSpec.standard_semicircular(2)
-    cand = ConjugateCandidate(gens(2), spec)
+    cand = ConjugateCandidate(gens(2), TraceFunctional(spec))
     good = check_conjugate(cand, degree=8)
     elapsed = time.perf_counter() - start
-    wrong = ConjugateCandidate([2 * NcPoly.gen(2, 1), NcPoly.gen(2, 2)], spec)
+    wrong = ConjugateCandidate([2 * NcPoly.gen(2, 1), NcPoly.gen(2, 2)], TraceFunctional(spec))
     bad = check_conjugate(wrong, degree=4)
     pinpointed = (not bad.passed) and bad.failures[0][:2] == (1, (1,))
     report(
@@ -115,7 +115,7 @@ def test_criterion_03_conjugate_relations(capsys):
 
 def test_criterion_04_adjointness(capsys):
     spec = DistributionSpec.standard_semicircular(2)
-    cand = ConjugateCandidate(gens(2), spec)
+    cand = ConjugateCandidate(gens(2), TraceFunctional(spec))
     rng = random.Random(104)
     ok = True
     for _ in range(100):
@@ -245,7 +245,7 @@ def test_criterion_09_atom_scan(capsys):
 
 def test_criterion_10_margins(capsys):
     spec = DistributionSpec.standard_semicircular(2)
-    cand = ConjugateCandidate(gens(2), spec)
+    cand = ConjugateCandidate(gens(2), TraceFunctional(spec))
     config = EnsembleConfig(2, 1000, (GUE(), GUE()), 1, 77)
     # the seeded pair is the same in every call: draw it once
     tuples = sample(config)

@@ -438,7 +438,8 @@ def test_margins_draws_its_ensemble_once(semicircular_spec, capsys, monkeypatch)
     assert len(draws) == 1
     # the reports are those of trials that each draw the ensemble themselves
     config = randmat.EnsembleConfig(2, 60, (randmat.GUE(),) * 2, 2, 2)
-    cand = ncfree.ConjugateCandidate(gens(2), ncfree.DistributionSpec.standard_semicircular(2), 10)
+    trace = ncfree.TraceFunctional(ncfree.DistributionSpec.standard_semicircular(2), 10)
+    cand = ncfree.ConjugateCandidate(gens(2), trace)
     rng = random.Random(2)
     expected = []
     for _ in range(3):
@@ -1067,7 +1068,7 @@ def test_calls_on_one_spec_text_share_one_parsed_spec(tmp_path, capsys, monkeypa
     original = ncfree.cli.relation_kernel
 
     def recording(trace, degree):
-        traced.append(trace.spec)
+        traced.append(trace)
         return original(trace, degree)
 
     monkeypatch.setattr(ncfree.cli, "relation_kernel", recording)
@@ -1076,7 +1077,7 @@ def test_calls_on_one_spec_text_share_one_parsed_spec(tmp_path, capsys, monkeypa
         assert main(["relations", "--spec", spec, "--degree", degree]) == 0
     capsys.readouterr()
     assert len(traced) == 2 and traced[0] is traced[1]
-    assert list(ncfree.cli._parsed_specs.values()) == [traced[0]]
+    assert list(ncfree.cli._traces.values()) == [traced[0]]
 
 
 def test_an_edited_spec_file_is_parsed_again(tmp_path, capsys):
@@ -1089,9 +1090,9 @@ def test_an_edited_spec_file_is_parsed_again(tmp_path, capsys):
     write_semicircular(path, ["2", "2"])
     assert main(argv) == 1
     warm = comparable(capsys.readouterr().out)
-    assert len(ncfree.cli._parsed_specs) == 2
-    ncfree.cli._parsed_specs.clear()
-    ncfree.trace._shared_memo.cache_clear()
+    first, second = ncfree.cli._traces.values()
+    assert first.spec != second.spec
+    ncfree.cli._traces.clear()
     assert main(argv) == 1
     assert comparable(capsys.readouterr().out) == warm
 
@@ -1101,19 +1102,74 @@ def test_a_bad_spec_fails_on_every_call_and_is_not_kept(tmp_path, capsys):
     for _ in range(2):
         code, err = run_for_error(capsys, ["relations", "--spec", spec, "--degree", "1"])
         assert (code, err) == (2, "error: bad trace section: number '1/0' has a zero denominator")
-    assert ncfree.cli._parsed_specs == {}
+    assert ncfree.cli._traces == {}
+
+
+def test_a_bad_degree_bound_fails_every_command_and_is_not_kept(tmp_path, capsys):
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps({
+        "n": 1,
+        "trace": {"variant": "semicircular", "variances": ["1"]},
+        "ensemble": {"dim": 4, "samples": 1, "matrices": [{"kind": "gue"}]},
+        "degree_bound": "12",
+    }))
+    message = "error: degree_bound must be a non-negative integer, got '12'"
+    for argv in (["verify-conjugate", "--xi", "1 * Z 1"], ["spectrum", "--poly", "1 * Z 1"]) * 2:
+        assert run_for_error(capsys, argv + ["--spec", str(path)]) == (2, message)
+    assert ncfree.cli._traces == {}
 
 
 def test_the_parsed_spec_store_is_bounded(tmp_path, capsys):
-    bound = ncfree.trace.SHARED_DISTRIBUTIONS
-    specs = [write_semicircular(tmp_path / f"spec-{k}.json", [str(k + 1)]) for k in range(bound + 3)]
+    bound = ncfree.cli.SHARED_DISTRIBUTIONS
+    specs = [
+        write_semicircular(tmp_path / f"spec-{k}.json", [str(k + 1)]) for k in range(bound + 3)
+    ]
     digests = []
     for spec in specs + specs[:1]:
         assert main(["relations", "--spec", spec, "--degree", "1"]) == 0
         digests.append(json.loads(capsys.readouterr().out)["metadata"]["spec_digest"])
-        assert len(ncfree.cli._parsed_specs) <= bound
+        assert len(ncfree.cli._traces) <= bound
     # the oldest texts went first, and the first one was parsed again
-    assert list(ncfree.cli._parsed_specs) == digests[-bound:]
+    assert list(ncfree.cli._traces) == digests[-bound:]
+
+
+def test_report_after_verify_conjugate_sums_no_left_side_again(tmp_path, capsys, monkeypatch):
+    spec = write_semicircular(tmp_path / "spec.json", ["1", "1"])
+    argv = ["--spec", spec, "--xi", "1 * Z 1;1 * Z 2", "--degree", "4"]
+    assert main(["verify-conjugate", *argv]) == 0
+    splits = []
+    original = ncfree.conjugate._left_side
+
+    def counting(word, *args):
+        splits.append(word)
+        return original(word, *args)
+
+    monkeypatch.setattr(ncfree.conjugate, "_left_side", counting)
+    assert main(["report", *argv]) == 0
+    capsys.readouterr()
+    assert splits == []
+    [trace] = ncfree.cli._traces.values()
+    assert trace.left_sides[1][(1, 1, 1)] == ncfree.Scalar(2)
+
+
+def test_an_explicit_table_file_reuses_its_functional(bernoulli_cli_spec, capsys, monkeypatch):
+    built = []
+    original = ncfree.cli.TraceFunctional
+
+    def recording(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ncfree.cli, "TraceFunctional", recording)
+    argv = ["verify-conjugate", "--spec", bernoulli_cli_spec, "--xi", "1 * Z 1", "--degree", "3"]
+    relations = ["relations", "--spec", bernoulli_cli_spec, "--degree", "2"]
+    codes = [main(argv), main(argv), main(relations)]
+    capsys.readouterr()
+    # the Bernoulli table has the relation Z^2 = 1, and xi = Z fails at Z Z
+    assert codes == [1, 1, 1]
+    assert len(built) == 1 and not built[0].free
+    assert list(ncfree.cli._traces.values()) == built
+    assert built[0].left_sides
 
 
 # -- word length, checked once at the boundary ---------------------------------------

@@ -38,7 +38,7 @@ from ncfree.ncpoly import words_up_to
 from ncfree.reduction import free_family_certified
 from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_poly, rand_scalar, rand_self_adjoint, rand_word
-from ncfree.trace import ExplicitMoments, FreeFamily, MomentMemo, SemicircularFamily
+from ncfree.trace import ExplicitMoments, FreeFamily, SemicircularFamily
 
 from conftest import bernoulli_spec, gens
 from oracles import (
@@ -52,7 +52,7 @@ from oracles import (
 
 def semicircular_candidate(n, degree_bound=12):
     spec = DistributionSpec.standard_semicircular(n)
-    return ConjugateCandidate(gens(n), spec, degree_bound)
+    return ConjugateCandidate(gens(n), TraceFunctional(spec, degree_bound))
 
 
 # -- word enumeration ----------------------------------------------------------
@@ -76,7 +76,7 @@ def test_semicircular_conjugates_are_the_generators():
 def test_scaled_candidate_fails_with_witness():
     spec = DistributionSpec.standard_semicircular(2)
     z1, z2 = gens(2)
-    cand = ConjugateCandidate([2 * z1, z2], spec)
+    cand = ConjugateCandidate([2 * z1, z2], TraceFunctional(spec))
     report = check_conjugate(cand, degree=3)
     assert not report.passed
     j, word, lhs, rhs = report.failures[0]
@@ -91,9 +91,9 @@ def test_variance_scaling():
     from fractions import Fraction
 
     z = NcPoly.gen(1, 1)
-    good = ConjugateCandidate([Scalar(Fraction(1, 4)) * z], spec)
+    good = ConjugateCandidate([Scalar(Fraction(1, 4)) * z], TraceFunctional(spec))
     assert check_conjugate(good, degree=5).passed
-    bad = ConjugateCandidate([z], spec)
+    bad = ConjugateCandidate([z], TraceFunctional(spec))
     assert not check_conjugate(bad, degree=5).passed
 
 
@@ -109,7 +109,8 @@ def test_the_longest_word_of_the_sweep_sets_the_limit():
         check_conjugate(semicircular_candidate(2), degree=12)
     # with xi = 0 the sweep reads only the splits of w, at most 4 letters here
     zero = NcPoly.zero(2)
-    cand = ConjugateCandidate([zero, zero], DistributionSpec.standard_semicircular(2), 4)
+    trace = TraceFunctional(DistributionSpec.standard_semicircular(2), 4)
+    cand = ConjugateCandidate([zero, zero], trace)
     failures = check_conjugate(cand, degree=5).failures
     expected = conjugate_failures_oracle(
         [{}, {}], 2, 5, functools.cache(lambda w: semicircular_moment_oracle(w, (1, 1)))
@@ -197,7 +198,7 @@ def _oracle_cases():
 @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda case: case[0])
 def test_conjugate_failures_match_the_oracle(case):
     _, spec, xi, degree, moment = case
-    cand = ConjugateCandidate(xi, spec)
+    cand = ConjugateCandidate(xi, TraceFunctional(spec))
     failures = check_conjugate(cand, degree).failures
     oracle_xi = [{u: (c.re, c.im) for u, c in p.terms.items()} for p in xi]
     expected = conjugate_failures_oracle(
@@ -211,7 +212,8 @@ def test_conjugate_failures_match_the_oracle(case):
 
 def test_parity_pruning_leaves_odd_words_out_of_the_memo():
     z1, z2 = gens(2)
-    cand = ConjugateCandidate([2 * z1, z2], DistributionSpec.standard_semicircular(2))
+    trace = TraceFunctional(DistributionSpec.standard_semicircular(2))
+    cand = ConjugateCandidate([2 * z1, z2], trace)
     report = check_conjugate(cand, degree=8)
     assert len(report.failures) == 49
     # neither the sweep nor the moment fill below it stores an odd word; all
@@ -262,13 +264,12 @@ def test_sweeps_cold_warm_and_the_oracle_agree(rng, case):
     _, spec, oracle_moment, degree, xi_degree = case
     moment = functools.cache(oracle_moment)
     for xi in _random_candidates(rng, spec.n, xi_degree):
-        ncfree.trace._shared_memo.cache_clear()
-        ncfree.trace._spec_cumulants.cache_clear()
-        cand = ConjugateCandidate(xi, spec)
+        cand = ConjugateCandidate(xi, TraceFunctional(spec))
         cold = check_conjugate(cand, degree).failures
         warm = check_conjugate(cand, degree).failures
         equal_spec = DistributionSpec.from_dict(spec.to_dict())
-        other = check_conjugate(ConjugateCandidate(xi, equal_spec), degree).failures
+        other_cand = ConjugateCandidate(xi, TraceFunctional(equal_spec))
+        other = check_conjugate(other_cand, degree).failures
         assert cold == warm == other
         oracle_xi = [{u: (c.re, c.im) for u, c in p.terms.items()} for p in xi]
         expected = conjugate_failures_oracle(oracle_xi, spec.n, degree, moment)
@@ -277,10 +278,10 @@ def test_sweeps_cold_warm_and_the_oracle_agree(rng, case):
         ] == expected
 
 
-def test_a_second_functional_on_an_equal_spec_sums_no_split(monkeypatch):
-    spec = DistributionSpec(2, FreeFamily((BERNOULLI_MOMENTS, CATALAN)))
+def test_a_second_candidate_on_one_functional_sums_no_split(monkeypatch):
+    trace = TraceFunctional(DistributionSpec(2, FreeFamily((BERNOULLI_MOMENTS, CATALAN))))
     z1, z2 = gens(2)
-    first = check_conjugate(ConjugateCandidate([z1, z2], spec), degree=6)
+    first = check_conjugate(ConjugateCandidate([z1, z2], trace), degree=6)
     splits = []
     original = ncfree.conjugate._left_side
 
@@ -289,23 +290,21 @@ def test_a_second_functional_on_an_equal_spec_sums_no_split(monkeypatch):
         return original(word, *args)
 
     monkeypatch.setattr(ncfree.conjugate, "_left_side", counting)
-    equal_spec = DistributionSpec.from_dict(spec.to_dict())
-    again = check_conjugate(ConjugateCandidate([z1, z2], equal_spec), degree=6)
+    again = check_conjugate(ConjugateCandidate([z1, z2], trace), degree=6)
     assert again == first and not again.passed
     # a scaled candidate has the same left sides
-    scaled = check_conjugate(ConjugateCandidate([2 * z1, z2], equal_spec), degree=6)
+    scaled = check_conjugate(ConjugateCandidate([2 * z1, z2], trace), degree=6)
     assert splits == []
     assert scaled.failures != first.failures
     # a deeper sweep sums only the words of the new length
-    check_conjugate(ConjugateCandidate([z1, z2], equal_spec), degree=7)
+    check_conjugate(ConjugateCandidate([z1, z2], trace), degree=7)
     assert splits and {len(word) for word in splits} == {7}
 
 
 def test_a_stored_zero_moment_is_a_hit(monkeypatch):
-    spec = DistributionSpec.standard_semicircular(2)
-    cold = check_conjugate(ConjugateCandidate(gens(2), spec), degree=6)
-    memo = TraceFunctional(spec)._memo
-    assert memo[(1, 2, 1, 2)] == Scalar(0)  # read at w = (2 1 2) for j = 1
+    trace = TraceFunctional(DistributionSpec.standard_semicircular(2))
+    cold = check_conjugate(ConjugateCandidate(gens(2), trace), degree=6)
+    assert trace._memo[(1, 2, 1, 2)] == Scalar(0)  # read at w = (2 1 2) for j = 1
     calls = []
     original = TraceFunctional.moment
 
@@ -314,35 +313,36 @@ def test_a_stored_zero_moment_is_a_hit(monkeypatch):
         return original(self, word)
 
     monkeypatch.setattr(TraceFunctional, "moment", counting)
-    assert check_conjugate(ConjugateCandidate(gens(2), spec), degree=6) == cold
+    assert check_conjugate(ConjugateCandidate(gens(2), trace), degree=6) == cold
     assert calls == []
 
 
-def test_a_private_memo_copy_leaves_no_stale_left_side():
+def test_a_functional_with_a_changed_moment_leaves_no_stale_left_side():
     spec = DistributionSpec.standard_semicircular(2)
-    assert check_conjugate(ConjugateCandidate(gens(2), spec), degree=5).passed
-    # a wrong tau(1 1) = 2 goes into a private copy of the shared memo, as in
-    # test_duality_rejects_a_functional_without_the_star
-    cand = ConjugateCandidate(gens(2), spec)
-    cand.trace._memo = MomentMemo(cand.trace._memo)
+    trace = TraceFunctional(spec)
+    assert check_conjugate(ConjugateCandidate(gens(2), trace), degree=5).passed
+    # the first functional's moments, but for a wrong tau(1 1) = 2, go into a
+    # second functional's memo, as in test_duality_rejects_a_functional_without_the_star
+    cand = ConjugateCandidate(gens(2), TraceFunctional(spec))
+    cand.trace._memo.update(trace._memo)
     cand.trace._memo[(1, 1)] = Scalar(2)
     wrong = check_conjugate(cand, degree=5).failures
-    # its left sides are summed from the private moments, not read from the
-    # shared store: (tau (x) tau)(d_1 (1 1 1)) = 2 tau(1 1) = 4
+    # its left sides are summed from its own moments, not read from the
+    # first functional: (tau (x) tau)(d_1 (1 1 1)) = 2 tau(1 1) = 4
     assert (1, (1, 1, 1), Scalar(4), Scalar(2)) in wrong
-    # the copy keeps its certificates as well: h_1 = tau(1 1) = 2
+    # it keeps its own certificates as well: h_1 = tau(1 1) = 2
     assert free_family_certified(cand.trace, 1)
-    assert cand.trace._memo.certified == {1: True}
-    # and none of them enters the shared store
-    assert check_conjugate(ConjugateCandidate(gens(2), spec), degree=5).passed
-    shared = TraceFunctional(spec)._memo
-    assert shared.left_sides[1][(1, 1, 1)] == Scalar(2)
-    assert shared[(1, 1)] == Scalar(1)
-    assert shared.certified == {}
+    assert cand.trace.certified == {1: True}
+    # and none of them enters the first functional
+    assert check_conjugate(ConjugateCandidate(gens(2), trace), degree=5).passed
+    assert trace.left_sides[1][(1, 1, 1)] == Scalar(2)
+    assert trace._memo[(1, 1)] == Scalar(1)
+    assert trace.certified == {}
 
 
 def test_zero_sides_are_reported():
-    cand = ConjugateCandidate(gens(2)[::-1], DistributionSpec.standard_semicircular(2))
+    trace = TraceFunctional(DistributionSpec.standard_semicircular(2))
+    cand = ConjugateCandidate(gens(2)[::-1], trace)
     failures = check_conjugate(cand, degree=4).failures
     assert (1, (1,), Scalar(1), Scalar(0)) in failures
     assert (1, (2,), Scalar(0), Scalar(1)) in failures
@@ -351,18 +351,20 @@ def test_zero_sides_are_reported():
 
 def test_a_degree_past_the_table_still_raises():
     (z,) = gens(1)
-    cand = ConjugateCandidate([z], bernoulli_spec(4))
+    cand = ConjugateCandidate([z], TraceFunctional(bernoulli_spec(4)))
     assert not check_conjugate(cand, degree=3).passed
     with pytest.raises(DegreeBoundExceeded, match="explicit table degree 4"):
         check_conjugate(cand, degree=4)
     # letter 2 is missing from the table: its words raise as they are met
     table = {(1,) * k: Scalar(1 - k % 2) for k in range(5)}
-    cand = ConjugateCandidate(gens(2), DistributionSpec(2, ExplicitMoments(table, 4)))
+    trace = TraceFunctional(DistributionSpec(2, ExplicitMoments(table, 4)))
+    cand = ConjugateCandidate(gens(2), trace)
     with pytest.raises(UnknownMoment, match=r"\(2,\)"):
         check_conjugate(cand, degree=1)
     # a free letter given fewer moments than the other bounds every word
     catalan = (1, 2, 5, 14, 42, 132)
-    cand = ConjugateCandidate(gens(2), DistributionSpec(2, FreeFamily((catalan, catalan[:4]))))
+    trace = TraceFunctional(DistributionSpec(2, FreeFamily((catalan, catalan[:4]))))
+    cand = ConjugateCandidate(gens(2), trace)
     check_conjugate(cand, degree=3)
     with pytest.raises(DegreeBoundExceeded, match="supplied moment depth 4"):
         check_conjugate(cand, degree=4)
@@ -379,7 +381,7 @@ def test_explicit_table_reports_the_missing_word():
         if w != (1, 2, 1, 1)
     }
     spec = DistributionSpec(2, ExplicitMoments(table, 4))
-    cand = ConjugateCandidate(gens(2), spec)
+    cand = ConjugateCandidate(gens(2), TraceFunctional(spec))
     with pytest.raises(UnknownMoment, match=r"\(1, 2, 1, 1\)"):
         check_conjugate(cand, degree=3)
 
@@ -394,9 +396,9 @@ def test_report_serialization():
 def test_candidate_validation():
     spec = DistributionSpec.standard_semicircular(2)
     with pytest.raises(ValueError):
-        ConjugateCandidate([NcPoly.gen(2, 1)], spec)
+        ConjugateCandidate([NcPoly.gen(2, 1)], TraceFunctional(spec))
     with pytest.raises(ValueError):
-        ConjugateCandidate([NcPoly.gen(1, 1), NcPoly.gen(1, 1)], spec)
+        ConjugateCandidate([NcPoly.gen(1, 1), NcPoly.gen(1, 1)], TraceFunctional(spec))
     cand = semicircular_candidate(2)
     assert cand.self_adjointness() == [True, True]
 
@@ -456,7 +458,7 @@ def test_dstar_matches_the_oracle_on_sums_of_tensors(rng, case):
         rand_poly(rng, n, 2) + Scalar(1, -2) * (letters[j] * letters[0])
         for j in range(n)
     ]
-    cand = ConjugateCandidate(xi, spec)
+    cand = ConjugateCandidate(xi, TraceFunctional(spec))
     for _ in range(25):
         y = TensorPoly2.zero(n)
         for _ in range(rng.randint(2, 3)):
@@ -514,7 +516,7 @@ def test_adjointness_free_family(rng):
     # d(j,.)-adjointness directly through dstar's defining formula instead
     catalan = (0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0, 132)
     spec = DistributionSpec(2, FreeFamily((catalan, catalan)))
-    cand = ConjugateCandidate(gens(2), spec)
+    cand = ConjugateCandidate(gens(2), TraceFunctional(spec))
     assert check_conjugate(cand, degree=4).passed
     for _ in range(10):
         y = TensorPoly2.of(rand_poly(rng, 2, 2), rand_poly(rng, 2, 2))
@@ -607,9 +609,6 @@ def test_duality_rejects_a_functional_without_the_star(rng, family):
     v = (1, 1, 2, 2)
     # tau(v) + i is not real; tau(v*) = tau(2 2 1 1) reads the old value (a
     # table) or this one (the rotation key of a free family): never its conjugate.
-    # The wrong value goes into a private copy of the memo, which a free family
-    # shares with every functional on it
-    trace._memo = MomentMemo(trace._memo)
     trace._memo[v] = trace.moment(v) + Scalar(0, 1)
     z1, z2 = gens(trace.spec.n)[:2]
     # d_1 of Z2 Z2 Z1 splits at k = 2, so the sweep reads v = (1 1) (2 2)
@@ -639,6 +638,16 @@ def test_duality_raises_what_the_oracle_raises():
             raised.append(str(info.value))
         assert raised[0] == raised[1]
 
+
+
+def test_duality_names_the_longest_word_in_any_order():
+    trace = TraceFunctional(DistributionSpec.standard_semicircular(2), degree_bound=4)
+    # v = x y[:k] for y[k] = 1 has 2, 4 or 5 letters for x = (1), 4, 6 or 7 for x = (1 1 2)
+    p2 = NcPoly(2, {(2, 1, 2, 1, 1): 1})
+    for order in ([(1,), (1, 1, 2)], [(1, 1, 2), (1,)]):
+        p1 = NcPoly(2, {x: 1 for x in order})
+        with pytest.raises(DegreeBoundExceeded, match="^word length 7 exceeds degree bound 4$"):
+            check_duality(trace, p1, p2, 1)
 
 
 def test_duality_on_a_table_names_the_missing_word_it_always_named():
@@ -706,6 +715,6 @@ def test_fisher_of_standard_semicircular():
 
 def test_fisher_refuses_bad_candidates():
     spec = DistributionSpec.standard_semicircular(1)
-    cand = ConjugateCandidate([2 * NcPoly.gen(1, 1)], spec)
+    cand = ConjugateCandidate([2 * NcPoly.gen(1, 1)], TraceFunctional(spec))
     with pytest.raises(ConjugateCheckFailed):
         fisher(cand, degree=4)

@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in it, the package
-exports exactly the names its __init__ imports, and every public function or
-class has a caller."""
+exports exactly the names its __init__ imports, every public function, class
+or method has a caller, and no module but the CLI keeps process state."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,8 @@ import ncfree
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "ncfree").glob("*.py"))
+#: the modules of the library proper: every one but the CLI
+LIBRARY = [path for path in MODULES if path.name != "cli.py"]
 
 
 def imported_names(tree):
@@ -68,26 +70,88 @@ def referenced_names(node):
     }
 
 
+def string_constants(tree):
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
 def test_every_public_name_has_a_caller():
-    # A name counts as called when another top-level statement of src/ names
-    # it (the package's __init__ re-exports aside), or perfbench/ or the
-    # acceptance suite does.  `main` finds the cmd_* handlers by name.
-    callers = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
-    named = set()
-    for path in callers:
-        named |= referenced_names(ast.parse(path.read_text()))
+    # A function, class or method counts as called when another definition of
+    # src/ names it (the package's __init__ re-exports aside; each method of a
+    # class is a definition of its own), or perfbench/ or the acceptance suite
+    # does.  perfbench/tracer.py plans methods by name, so a string constant
+    # there counts too.  `main` finds the cmd_* handlers by name.
+    named = referenced_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named |= referenced_names(tree) | string_constants(tree)
     public = {}
     for path in MODULES:
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
             own = getattr(node, "name", None)
-            named |= referenced_names(node) - {own}
+            if isinstance(node, ast.ClassDef):
+                methods = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+                for method in methods:
+                    named |= referenced_names(method) - {method.name}
+                    if not method.name.startswith("_"):
+                        public[f"{path.name}:{own}.{method.name}"] = method.name
+                rest = [item for item in node.body if item not in methods]
+                for item in rest + node.bases + node.decorator_list:
+                    named |= referenced_names(item)
+            else:
+                named |= referenced_names(node) - {own}
             if (
                 isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and not own.startswith("_")
                 and not own.startswith("cmd_")
             ):
-                public[own] = path.name
-    uncalled = sorted(f"{module}:{name}" for name, module in public.items() if name not in named)
+                public[f"{path.name}:{own}"] = own
+    uncalled = sorted(label for label, name in public.items() if name not in named)
     assert not uncalled, f"public names that nothing calls: {uncalled}"
+
+
+def process_state(tree):
+    """Module-level dict, list or set bindings, and functools caches, by line."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                continue
+            value = node.value
+            container = isinstance(
+                value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+            ) or (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "list", "set")
+            )
+            if container:
+                found.append(f"line {node.lineno}: {ast.unparse(node)[:60]}")
+    for node in ast.walk(tree):
+        cache = (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("lru_cache", "cache")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "functools"
+            and any(alias.name in ("lru_cache", "cache") for alias in node.names)
+        )
+        if cache:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[path.name for path in LIBRARY])
+def test_the_library_keeps_no_process_state(path):
+    # what a process shares between calls is kept by the CLI alone; a library
+    # object keeps what it computes on itself
+    found = process_state(ast.parse(path.read_text()))
+    assert not found, f"{path.name} keeps process state: {found}"

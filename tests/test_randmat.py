@@ -11,6 +11,7 @@ from ncfree import (
     DistributionSpec,
     EnsembleConfig,
     NcPoly,
+    TraceFunctional,
 )
 from ncfree.conjugate import MarginsReport, norm_margins
 from ncfree.errors import EvaluationError, IndexOutOfRange
@@ -501,7 +502,7 @@ def test_spectrum_report_serializes():
 
 def test_empirical_margins_for_semicircular():
     spec = DistributionSpec.standard_semicircular(2)
-    cand = ConjugateCandidate(gens(2), spec)
+    cand = ConjugateCandidate(gens(2), TraceFunctional(spec))
     z1, z2 = gens(2)
     config = gue_config(2, 200, 2)
     report = empirical_margins(cand, 1, z1 * z2 + z2, config, q=z2)
@@ -521,7 +522,7 @@ def test_empirical_margins_for_semicircular():
 
 def test_empirical_margins_are_norm_margins_at_the_measured_norms():
     spec = DistributionSpec.standard_semicircular(2)
-    cand = ConjugateCandidate(gens(2), spec)
+    cand = ConjugateCandidate(gens(2), TraceFunctional(spec))
     config = gue_config(2, 30, 3)
     rng = random.Random(15)
     for _ in range(6):
@@ -545,7 +546,7 @@ def test_empirical_margins_checks_before_it_draws(monkeypatch):
         return _draw(*args)
 
     monkeypatch.setattr("ncfree.randmat._draw", counting_draw)
-    cand = ConjugateCandidate(gens(2), DistributionSpec.standard_semicircular(2))
+    cand = ConjugateCandidate(gens(2), TraceFunctional(DistributionSpec.standard_semicircular(2)))
     z1, z2 = gens(2)
     with pytest.raises(IndexOutOfRange, match="^derivative index 3 outside 1..2$"):
         empirical_margins(cand, 3, z1 * z2, gue_config(2, 200, 5))
@@ -558,7 +559,7 @@ def test_empirical_margins_checks_before_it_draws(monkeypatch):
 
 def test_unit_polynomial_margin_is_tight():
     spec = DistributionSpec.standard_semicircular(1)
-    cand = ConjugateCandidate(gens(1), spec)
+    cand = ConjugateCandidate(gens(1), TraceFunctional(spec))
     config = gue_config(1, 100, 1)
     report = empirical_margins(cand, 1, NcPoly.one(1), config)
     # dstar(1 (x) 1) = xi, so the left bound is exactly tight: margin 0

@@ -5,6 +5,7 @@ from itertools import islice
 
 import pytest
 
+import ncfree.cli
 import ncfree.reduction
 import ncfree.trace
 from ncfree import DistributionSpec, NcPoly, TraceFunctional
@@ -26,7 +27,7 @@ from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_nonzero_poly, rand_self_adjoint, rand_word
 from ncfree.trace import ExplicitMoments, FreeFamily, SemicircularFamily
 
-from conftest import bernoulli_spec, gens
+from conftest import bernoulli_spec, gens, write_spec
 from oracles import (
     free_moment_oracle,
     moments_from_cumulants_oracle,
@@ -389,7 +390,6 @@ def test_the_moment_fill_gives_one_memo_in_any_order(name):
     shuffled = random.Random(8).sample(words, len(words))
     memos = []
     for order in (words, words[::-1], shuffled):
-        ncfree.trace._shared_memo.cache_clear()
         trace = TraceFunctional(spec, degree_bound=8)
         for word in order:
             trace.moment(word)
@@ -407,15 +407,11 @@ def test_the_moment_fill_gives_one_memo_in_any_order(name):
 def test_stored_certificates_match_a_fresh_memo_in_any_order():
     for name, (spec, _) in CROSS_CHECK_SPECS.items():
         degrees = list(range(4 if spec.n == 3 else 5))
-        fresh = {}
-        for degree in degrees:
-            ncfree.trace._shared_memo.cache_clear()
-            fresh[degree] = free_family_certified(TraceFunctional(spec), degree)
-        ncfree.trace._shared_memo.cache_clear()
+        fresh = {degree: free_family_certified(TraceFunctional(spec), degree) for degree in degrees}
+        trace = TraceFunctional(spec)
         for degree in degrees[::-1] + degrees:
-            assert free_family_certified(TraceFunctional(spec), degree) == fresh[degree], (
-                name, degree)
-        assert TraceFunctional(spec)._memo.certified == fresh, name
+            assert free_family_certified(trace, degree) == fresh[degree], (name, degree)
+        assert trace.certified == fresh, name
 
 
 def test_a_family_is_certified_once_per_degree(monkeypatch):
@@ -427,42 +423,43 @@ def test_a_family_is_certified_once_per_degree(monkeypatch):
         return original(moments)
 
     monkeypatch.setattr(ncfree.reduction, "jacobi", counting)
-    spec = free(CATALAN, SHIFTED_SEMICIRCULAR)
-    assert free_family_certified(TraceFunctional(spec), 3)
+    trace = TraceFunctional(free(CATALAN, SHIFTED_SEMICIRCULAR))
+    assert free_family_certified(trace, 3)
     assert calls == [7, 7]  # one Hankel test per letter
-    assert free_family_certified(TraceFunctional(spec), 3)
-    assert relation_kernel(TraceFunctional(spec), 3) == []
+    assert free_family_certified(trace, 3)
+    assert relation_kernel(trace, 3) == []
     assert calls == [7, 7]
-    assert free_family_certified(TraceFunctional(spec), 2)
+    assert free_family_certified(trace, 2)
     assert calls == [7, 7, 5, 5]
     # a failing verdict is kept as well: Bernoulli's h_2 is 0
-    bernoulli = free(BERNOULLI, CATALAN)
+    bernoulli = TraceFunctional(free(BERNOULLI, CATALAN))
     for _ in range(2):
-        assert not free_family_certified(TraceFunctional(bernoulli), 2)
+        assert not free_family_certified(bernoulli, 2)
     assert calls == [7, 7, 5, 5, 5]
 
 
 def test_tables_and_degrees_past_the_limits_store_no_certificate():
     table = TraceFunctional(bernoulli_spec())
     assert not free_family_certified(table, 1)
-    assert table._memo.certified == {}
+    assert table.certified == {}
     trace = TraceFunctional(DistributionSpec.standard_semicircular(2), degree_bound=5)
     for degree in (-1, 3, 40):
         assert not free_family_certified(trace, degree)
-    assert trace._memo.certified == {}
+    assert trace.certified == {}
     assert free_family_certified(trace, 2)
-    assert trace._memo.certified == {2: True}
+    assert trace.certified == {2: True}
 
 
-def test_certificates_live_and_are_cleared_with_the_shared_memo():
-    spec = free(CATALAN, CATALAN)
-    assert relation_kernel(TraceFunctional(spec), 2) == []
-    memo = TraceFunctional(DistributionSpec.from_dict(spec.to_dict()))._memo
-    assert memo.certified == {2: True}
-    # the test isolation fixture clears the memo, and the certificates with it
-    ncfree.trace._shared_memo.cache_clear()
-    fresh = TraceFunctional(spec)._memo
-    assert fresh is not memo
+def test_certificates_live_and_are_cleared_with_the_shared_memo(tmp_path):
+    path = write_spec(tmp_path / "spec.json", free(CATALAN, CATALAN))
+    argv = ["relations", "--spec", path, "--degree", "2", "--out", str(tmp_path / "out")]
+    assert ncfree.cli.main(argv) == 0
+    [trace] = ncfree.cli._traces.values()
+    assert trace.certified == {2: True}
+    # the test isolation fixture clears the CLI's functionals, and the certificates with them
+    ncfree.cli._traces.clear()
+    fresh = ncfree.cli.trace_from(ncfree.cli.load_spec_file(path))
+    assert fresh is not trace
     assert fresh.certified == {}
 
 

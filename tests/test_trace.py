@@ -1,21 +1,17 @@
+import gc
 import math
 import random
 import sys
 import threading
+import weakref
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 import ncfree
-from ncfree import (
-    ConjugateCandidate,
-    DistributionSpec,
-    NcPoly,
-    TensorPoly2,
-    TraceFunctional,
-    check_conjugate,
-)
+import ncfree.cli
+from ncfree import DistributionSpec, NcPoly, TensorPoly2, TraceFunctional
 from ncfree.errors import DegreeBoundExceeded, NonPositiveMoments, UnknownMoment
 from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_poly
@@ -28,7 +24,7 @@ from ncfree.trace import (
     least_rotation,
 )
 
-from conftest import bernoulli_spec, gens, run_python
+from conftest import bernoulli_spec, gens, run_python, write_spec
 from oracles import (
     free_moment_oracle,
     moments_from_cumulants_oracle,
@@ -222,7 +218,7 @@ def test_memo_holds_only_words_moment_accepts():
             trace.moment((1,) * 5)
 
 
-# -- the moment memo shared by the functionals on one free family ------------
+# -- the moment memo of a functional, and the functionals the CLI shares ------
 
 
 def count_calls(monkeypatch, name):
@@ -238,19 +234,21 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def test_functionals_on_one_free_family_share_one_memo(monkeypatch):
+def test_functionals_on_one_free_family_keep_their_own_memos(monkeypatch):
     spec = DistributionSpec(2, FreeFamily((BERNOULLI_MOMENTS, POISSON_MOMENTS)))
     first = TraceFunctional(spec)
     words = [word for k in range(7) for word in product((1, 2), repeat=k)]
     values = [first.moment(word) for word in words]
     known = dict(first._memo)
     recursions = count_calls(monkeypatch, "_nc_moment")
+    # a second pass on one functional reads its memo
+    assert [first.moment(word) for word in words] == values
+    assert recursions == [] and first._memo == known
     # an equal spec, not the same object, and another bound past the depth 10
     second = TraceFunctional(DistributionSpec.from_dict(spec.to_dict()), degree_bound=20)
-    assert second._memo is first._memo
+    assert second._memo is not first._memo
     assert [second.moment(word) for word in words] == values
-    assert recursions == []
-    assert second._memo == known
+    assert recursions and second._memo == known
 
 
 def test_functionals_with_other_word_limits_keep_their_own_memos():
@@ -275,35 +273,39 @@ def test_equal_tables_never_share_a_memo():
     assert second.moment((1, 1)) == Scalar(1)
 
 
-def test_shared_memos_are_bounded():
-    bound = ncfree.trace.SHARED_DISTRIBUTIONS
-    for variance in range(1, 2 * bound + 2):
-        trace = TraceFunctional(DistributionSpec(1, SemicircularFamily((variance,))))
+def test_shared_memos_are_bounded(tmp_path):
+    # the CLI keeps the functionals that its calls share; an evicted one, and
+    # with it its memo, left sides and certificates, is freed
+    bound = ncfree.cli.SHARED_DISTRIBUTIONS
+    kept = []
+    for variance in range(1, bound + 2):
+        spec = DistributionSpec(1, SemicircularFamily((variance,)))
+        path = write_spec(tmp_path / f"{variance}.json", spec)
+        trace = ncfree.cli.trace_from(ncfree.cli.load_spec_file(path))
         assert trace.moment((1,) * 4) == Scalar(2 * variance**2)
-        for cache in (ncfree.trace._shared_memo, ncfree.trace._spec_cumulants):
-            assert cache.cache_info().currsize == min(variance, bound)
-    # an evicted family starts again from a fresh memo
-    trace = TraceFunctional(DistributionSpec(1, SemicircularFamily((1,))))
-    assert trace._memo == {(): Scalar(1)}
-    assert trace.moment((1,) * 4) == Scalar(2)
+        kept.append(weakref.ref(trace))
+        del trace
+        assert len(ncfree.cli._traces) == min(variance, bound)
+    gc.collect()
+    assert [ref() is not None for ref in kept] == [False] + [True] * bound
 
 
-def test_left_sides_live_and_are_cleared_with_the_shared_memo():
-    spec = DistributionSpec.standard_semicircular(2)
-    cand = ConjugateCandidate(gens(2), spec)
-    assert check_conjugate(cand, degree=5).passed
-    memo = TraceFunctional(DistributionSpec.from_dict(spec.to_dict()))._memo
-    assert memo is cand.trace._memo
+def test_left_sides_live_and_are_cleared_with_the_shared_memo(tmp_path):
+    path = write_spec(tmp_path / "spec.json", DistributionSpec.standard_semicircular(2))
+    argv = ["verify-conjugate", "--spec", path, "--xi", "1 * Z 1;1 * Z 2"]
+    argv += ["--out", str(tmp_path / "out")]
+    assert ncfree.cli.main(argv) == 0
+    [trace] = ncfree.cli._traces.values()
     # (tau (x) tau)(d_1 (1 1 1)) = tau() tau(1 1) + tau(1 1) tau()
-    assert memo.left_sides[1][(1, 1, 1)] == Scalar(2)
-    # the test isolation fixture clears the memo, and the left sides with it
-    ncfree.trace._shared_memo.cache_clear()
-    fresh = TraceFunctional(spec)._memo
-    assert fresh is not memo
-    assert fresh == {(): Scalar(1)} and fresh.left_sides == {}
+    assert trace.left_sides[1][(1, 1, 1)] == Scalar(2)
+    # the test isolation fixture clears the CLI's functionals, and the left sides with them
+    ncfree.cli._traces.clear()
+    fresh = ncfree.cli.trace_from(ncfree.cli.load_spec_file(path))
+    assert fresh is not trace
+    assert fresh._memo == {(): Scalar(1)} and fresh.left_sides == {}
 
 
-def test_cumulants_are_inverted_once_per_family_on_a_miss(monkeypatch):
+def test_cumulants_are_inverted_once_per_functional_on_a_miss(monkeypatch):
     inversions = count_calls(monkeypatch, "free_cumulants")
     spec = DistributionSpec(2, FreeFamily((POISSON_MOMENTS, POISSON_MOMENTS[:6])))
     first = TraceFunctional(spec)
@@ -313,16 +315,16 @@ def test_cumulants_are_inverted_once_per_family_on_a_miss(monkeypatch):
     assert inversions == []  # every one-letter word is a hit
     assert first.moment((1, 2)) == Scalar(1)
     assert len(inversions) == 2  # one inversion per letter
-    # the same key, and a smaller bound with a memo of its own: no inversion
-    for bound in (12, 4):
-        trace = TraceFunctional(spec, degree_bound=bound)
-        assert trace.moment((1, 2, 1, 2)) == first.moment((1, 2, 1, 2))
+    assert first.moment((1, 2, 1, 2)) and first.symmetric_letters == ()
     assert len(inversions) == 2
+    # another functional on the family inverts them again, once
+    second = TraceFunctional(spec, degree_bound=4)
+    assert second.moment((1, 2, 1, 2)) == first.moment((1, 2, 1, 2))
+    assert second.moment((2, 1, 1)) == first.moment((2, 1, 1))
+    assert len(inversions) == 4
     other = TraceFunctional(DistributionSpec(1, FreeFamily((POISSON_MOMENTS[:6],))))
     other.moment((1,) * 3)
-    assert len(inversions) == 2
-    assert TraceFunctional(spec).symmetric_letters == ()
-    assert len(inversions) == 2
+    assert len(inversions) == 4
 
 
 # -- cost and reach of the moment sum -----------------------------------------
@@ -416,13 +418,11 @@ def test_threads_filling_one_memo_read_the_cold_values():
     spec = DistributionSpec(2, FreeFamily((BERNOULLI_MOMENTS, POISSON_MOMENTS)))
     words = [word for k in range(9) for word in product((1, 2), repeat=k)]
     cold = [TraceFunctional(spec).moment(word) for word in words]
-    ncfree.trace._shared_memo.cache_clear()
-    ncfree.trace._spec_cumulants.cache_clear()
+    trace = TraceFunctional(spec)
     results: dict[int, list] = {}
 
     def run(index):
         order = sorted(range(len(words)), key=lambda i: (i * (2 * index + 3)) % 97)
-        trace = TraceFunctional(spec)
         values = {i: trace.moment(words[i]) for i in order}
         results[index] = [values[i] for i in range(len(words))]
 
@@ -568,6 +568,27 @@ def test_partial_traces_compose_to_full_trace(rng, trace2):
         assert left_then_right == trace2.trace_tensor(s)
 
 
+def test_an_over_length_error_names_the_longest_word_in_any_order(semi1):
+    trace = TraceFunctional(semi1)  # degree bound 12
+    short, long = (1,) * 13, (1,) * 14
+    message = "^word length 14 exceeds degree bound 12$"
+    for first, second in [(short, long), (long, short)]:
+        poly = NcPoly(1, {first: 1, second: 1})
+        left = TensorPoly2(1, {(first, ()): 1, (second, ()): 1})
+        calls = [
+            lambda: trace.trace_poly(poly),
+            lambda: trace.trace_tensor(left),
+            lambda: trace.trace_tensor(left.flip()),
+            lambda: trace.partial_trace(left, "left"),
+            lambda: trace.partial_trace(left.flip(), "right"),
+        ]
+        for call in calls:
+            with pytest.raises(DegreeBoundExceeded, match=message):
+                call()
+    # a leg that partial_trace keeps is never read
+    assert trace.partial_trace(TensorPoly2(1, {((), long): 1}), "left") == NcPoly(1, {long: 1})
+
+
 # -- inner products and norms ---------------------------------------------------
 
 
@@ -577,7 +598,7 @@ def test_inner_product_and_norm(trace2):
     assert trace2.inner(z1, z2) == Scalar(0)
     assert trace2.inner(z1 * z2, z1 * z2) == Scalar(1)
     assert trace2.norm2(z1 + z2) == pytest.approx(2 ** 0.5)
-    assert trace2.norm2_squared(2 * z1) == Fraction(4)
+    assert trace2.inner(2 * z1, 2 * z1) == Scalar(4)
 
 
 def test_inner_is_conjugate_symmetric(rng, trace2):
