@@ -173,6 +173,8 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
     are read from and added to the trace's `left_sides`.  A failure is
     (j, w, lhs, rhs); the failures come sorted by j, then length, then word.
     """
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
     trace = cand.trace
     xi_degrees = [int(p.total_degree()) for p in cand.xi if not p.is_zero()]
     # the sweep's longest word: u w on the right, or a split's head or tail

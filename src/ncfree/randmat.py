@@ -14,9 +14,8 @@ is order-independent.
 samples one at a time, so they hold one matrix tuple at once whatever the
 sample count.  `spectrum` on an all-diagonal ensemble holds every sample's
 diagonals at once, n x samples x dim complex entries, and evaluates p on
-them in one pass.  `sample` returns every tuple at once; `empirical_margins`
-keeps that ensemble resident, because it measures p, q and every trial on
-the same tuples.
+them in one pass.  `sample` returns every tuple at once: the resident
+ensemble on which `empirical_margins` measures p and q.
 """
 
 from __future__ import annotations
@@ -41,6 +40,9 @@ RNG_NAME = "numpy-pcg64"
 
 #: default window-width constant for the atom scan; width is c / sqrt(count)
 ATOM_WINDOW_SCALE = 4.0
+
+#: the number of equal-width bins in a spectrum's histogram
+HISTOGRAM_BINS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +198,11 @@ RADEMACHER_ATOMS = np.array([-1.0, 1.0], dtype=complex)
 
 
 def _diagonal_table(tag: EnsembleTag) -> tuple[np.ndarray, np.ndarray] | None:
-    """A DiagonalFromMoments tag's atoms, as complex, and the CDF of their weights.
-
-    The atoms are the quadrature nodes.  The weights pass the check that
-    `Generator.choice` makes of a probability vector, made here once, and
-    the CDF is built as `choice` builds it: their cumulative sum divided by
-    its last entry.  Other tags: None.
-    """
+    """A DiagonalFromMoments tag's quadrature nodes, as complex, and weights; else None."""
     if not isinstance(tag, DiagonalFromMoments):
         return None
     nodes, weights = quadrature_from_moments(tag.moments)
-    # raises as every choice call would on weights that are not a probability vector
-    np.random.default_rng(0).choice(len(nodes), size=0, p=weights)
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    return nodes.astype(complex), cdf
+    return nodes.astype(complex), weights
 
 
 def _draw(
@@ -221,12 +213,10 @@ def _draw(
 ) -> np.ndarray:
     """A GUE matrix, or the diagonal (1-D) of a diagonal ensemble's matrix.
 
-    `table` is `_diagonal_table(tag)`.  A diagonal draw makes the generator
-    calls that `rng.choice(atoms, size=dim, p=weights)` makes: without
-    weights `integers(0, len(atoms), size=dim)`, with them a search of
-    `random(dim)` in the normalised CDF (side "right").  So it leaves the
-    stream where `choice` leaves it and picks the same atoms, from a complex
-    table, without `choice`'s per-call checks or a conversion afterwards.
+    `table` is `_diagonal_table(tag)`.  A diagonal draw is what
+    `rng.choice(atoms, size=dim, p=weights)` draws.  For Rademacher's two
+    equal weights that is one `integers(0, 2, size=dim)` call, made here
+    without `choice`'s per-call checks.
     """
     if isinstance(tag, GUE):
         # (raw + raw^*) / (2 sqrt(dim)) for raw = a + ib, filled part by part
@@ -246,8 +236,8 @@ def _draw(
         return mat
     if isinstance(tag, DiagonalRademacher):
         return RADEMACHER_ATOMS[rng.integers(0, 2, size=dim)]
-    atoms, cdf = table
-    return atoms[cdf.searchsorted(rng.random(dim), side="right")]
+    atoms, weights = table
+    return rng.choice(atoms, size=dim, p=weights)
 
 
 def _draws(config: EnsembleConfig):
@@ -344,14 +334,14 @@ def _window_ends(ev: np.ndarray, width: float) -> np.ndarray:
 def max_window_mass(eigenvalues: np.ndarray, width: float) -> float:
     """Largest fraction of eigenvalues in any window of the given width."""
     ev = np.sort(np.asarray(eigenvalues, dtype=float))
+    if len(ev) == 0:
+        raise ValueError("empty eigenvalue sample")
     counts = _window_ends(ev, width) - np.arange(len(ev))
-    return int(counts.max(initial=0)) / len(ev)
+    return int(counts.max()) / len(ev)
 
 
 def atom_scan(
-    eigenvalues: np.ndarray,
-    window_scale: float = ATOM_WINDOW_SCALE,
-    floor: float | None = None,
+    eigenvalues: np.ndarray, window_scale: float = ATOM_WINDOW_SCALE
 ) -> list[tuple[float, float]]:
     """Detect candidate atoms by a sliding window over sorted eigenvalues.
 
@@ -365,17 +355,14 @@ def atom_scan(
     if len(ev) == 0:
         raise ValueError("empty eigenvalue sample")
     width = window_scale / np.sqrt(len(ev))
-    return _scan_windows(ev, width, _window_ends(ev, width), floor)
+    return _scan_windows(ev, width, _window_ends(ev, width))
 
 
-def _scan_windows(
-    ev: np.ndarray, width: float, ends: np.ndarray, floor: float | None
-) -> list[tuple[float, float]]:
+def _scan_windows(ev: np.ndarray, width: float, ends: np.ndarray) -> list[tuple[float, float]]:
     """`atom_scan` on sorted, non-empty ev, given `_window_ends(ev, width)`."""
     total = len(ev)
     spread = max(float(ev[-1] - ev[0]), width)
-    if floor is None:
-        floor = 0.5 * width / spread
+    floor = 0.5 * width / spread
     counts = ends - np.arange(total)
     # the windows at or above the floor, by descending count, ties in increasing i
     order = np.argsort(-counts, kind="stable")
@@ -428,7 +415,7 @@ class SpectralReport:
         return [["eigenvalue"]] + [[repr(v)] for v in self.eigenvalues.tolist()]
 
 
-def spectrum(p: NcPoly, config: EnsembleConfig, bins: int = 100) -> SpectralReport:
+def spectrum(p: NcPoly, config: EnsembleConfig) -> SpectralReport:
     """Pooled eigenvalues, histogram and atom estimates of p over the ensemble.
 
     When every tag is diagonal, the diagonals of all samples are held at
@@ -462,14 +449,14 @@ def spectrum(p: NcPoly, config: EnsembleConfig, bins: int = 100) -> SpectralRepo
         )))
     eigenvalues = np.sort(pooled, axis=None)
     total = len(eigenvalues)
-    counts, bin_edges = np.histogram(eigenvalues, bins=bins)
+    counts, bin_edges = np.histogram(eigenvalues, bins=HISTOGRAM_BINS)
     width = ATOM_WINDOW_SCALE / np.sqrt(total)
     ends = _window_ends(eigenvalues, width)
     return SpectralReport(
         eigenvalues=eigenvalues,
         bin_edges=bin_edges,
         counts=counts,
-        atom_estimate=tuple(_scan_windows(eigenvalues, width, ends, None)),
+        atom_estimate=tuple(_scan_windows(eigenvalues, width, ends)),
         window_width=width,
         max_window_mass=int((ends - np.arange(total)).max()) / total,
         config=config,
@@ -485,23 +472,16 @@ def empirical_margins(
     cand: ConjugateCandidate,
     j: int,
     p: NcPoly,
-    config: EnsembleConfig,
+    samples: Sequence[Sequence[np.ndarray]],
     q: NcPoly | None = None,
-    samples: Sequence[Sequence[np.ndarray]] | None = None,
 ) -> MarginsReport:
     """`norm_margins` at the largest singular values of p (and q) on samples.
 
-    `samples` is `sample(config)`, drawn here if not given; a caller that
-    checks many polynomials on one ensemble draws it once and passes it.
-    The ensemble stays resident, since p and q are measured on the same tuples.
-    The matrix counts and j are checked before anything is drawn.
+    `samples` is `sample(config)`, drawn once by a caller that measures many
+    polynomials on one ensemble.  j is checked first, then each polynomial's
+    matrix count as it is evaluated on the first tuple.
     """
-    check_matrix_count(config, p.n)
-    if q is not None:
-        check_matrix_count(config, q.n)
     check_index(j, cand.spec.n)
-    if samples is None:
-        samples = sample(config)
     p_opnorm = _opnorm(p, samples)
     q_opnorm = None if q is None else _opnorm(q, samples)
     return norm_margins(cand, j, p, p_opnorm, q, q_opnorm)

@@ -229,9 +229,11 @@ def _letters_positive(trace: TraceFunctional, degree: int) -> bool:
 
 def gram_kernel(trace: TraceFunctional, degree: int) -> list[NcPoly]:
     """The null basis of the Gram matrix of all words of length <= degree."""
-    # row 0 reads every word, so the first word past the limits is met there:
-    # raise before the list of words, which grows as n^degree, takes memory
-    trace.check_sweep(degree)
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
+    # the Gram matrix reads words up to 2 degree long, shortest first: raise what
+    # it meets before the n^degree words and the moments they read take memory
+    trace.check_sweep(2 * degree)
     words = list(words_up_to(trace.spec.n, degree))
     matrix = gram_matrix(trace, words)
     basis = nullspace(matrix)

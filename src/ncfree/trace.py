@@ -408,6 +408,8 @@ class TraceFunctional:
     """
 
     def __init__(self, spec: DistributionSpec, degree_bound: int = DEFAULT_DEGREE_BOUND):
+        if degree_bound < 0:
+            raise ValueError(f"degree bound must be non-negative, got {degree_bound}")
         self.spec = spec
         self.degree_bound = degree_bound
         variant = spec.variant

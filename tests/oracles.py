@@ -279,21 +279,21 @@ def orthogonal_polynomial_oracle(moments):
     return h, a
 
 
-def greedy_atom_scan_oracle(eigenvalues, window_scale, floor=None):
+def greedy_atom_scan_oracle(eigenvalues, window_scale):
     """Atom candidates by one greedy pass over the windows, one at a time.
 
     The window at sorted position i is [ev[i], ev[i] + width] with width
     window_scale / sqrt(count).  Windows are taken by descending count (ties
-    in increasing i) until one holds less than `floor` of the sample; a
-    window is accepted unless it comes within one width of a window accepted
+    in increasing i) until one holds a smaller fraction of the sample than
+    width / (2 spread), the spread being the sample's range but at least one
+    width; a window is accepted unless it comes within one width of a window accepted
     before it, and reports the mean of its eigenvalues and its mass.
     """
     ev = np.sort(np.asarray(eigenvalues, dtype=float))
     total = len(ev)
     width = window_scale / np.sqrt(total)
     spread = max(float(ev[-1] - ev[0]), width)
-    if floor is None:
-        floor = 0.5 * width / spread
+    floor = 0.5 * width / spread
     ends = np.searchsorted(ev, ev + width, side="right")
     counts = ends - np.arange(total)
     found, taken = [], []

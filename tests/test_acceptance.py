@@ -254,7 +254,7 @@ def test_criterion_10_margins(capsys):
     for _ in range(50):
         p = rand_nonzero_poly(rng, 2, 4)
         j = rng.randint(1, 2)
-        margins = empirical_margins(cand, j, p, config, samples=tuples)
+        margins = empirical_margins(cand, j, p, tuples)
         worst = min(worst, min(margins.all_margins()))
     # the P = 1 equality case, entirely symbolic
     one = NcPoly.one(2)

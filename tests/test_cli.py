@@ -445,7 +445,7 @@ def test_margins_draws_its_ensemble_once(semicircular_spec, capsys, monkeypatch)
     for _ in range(3):
         p = rand_nonzero_poly(rng, 2, 3)
         j = rng.randint(1, 2)
-        report = randmat.empirical_margins(cand, j, p, config)
+        report = randmat.empirical_margins(cand, j, p, randmat.sample(config))
         expected.append({"poly": p.to_text(), "j": j, **report.to_dict()})
     assert len(draws) == 4
     assert document["result"]["reports"] == expected

@@ -15,6 +15,7 @@ from ncfree import (
     TensorPoly2,
     TraceFunctional,
     empirical_margins,
+    sample,
 )
 from ncfree.conjugate import (
     check_adjoint,
@@ -486,14 +487,14 @@ def test_every_dstar_entry_point_checks_the_letter_first(j):
     cand.xi = _UnreadXi(cand.xi)
     z1, z2 = gens(2)
     y = TensorPoly2.of(z1, z2)
-    config = EnsembleConfig(2, 4, (GUE(),) * 2, 1, 7)
+    samples = sample(EnsembleConfig(2, 4, (GUE(),) * 2, 1, 7))
     calls = [
         lambda: dstar(cand, j, y),
         lambda: dstar_left(cand, j, z1),
         lambda: dstar_right(cand, j, z1),
         lambda: check_adjoint(cand, j, y, z2),
         lambda: norm_margins(cand, j, z1, 1.0, z2, 1.0),
-        lambda: empirical_margins(cand, j, z1, config, q=z2),
+        lambda: empirical_margins(cand, j, z1, samples, q=z2),
     ]
     for call in calls:
         with pytest.raises(IndexOutOfRange, match=f"^derivative index {j} outside 1..2$"):
@@ -711,6 +712,15 @@ def test_fisher_of_standard_semicircular():
     assert info.exact == Scalar(2)
     assert info.value == 2.0
     assert info.degree_checked == 6
+
+
+@pytest.mark.parametrize("check", [check_conjugate, fisher], ids=["check_conjugate", "fisher"])
+def test_a_negative_degree_is_refused_not_vacuously_passed(check):
+    # at degree 4 this candidate fails on 4 words; at degree -1 no word is checked
+    z1, z2 = gens(2)
+    cand = ConjugateCandidate([5 * z1, z2], semicircular_candidate(2).trace)
+    with pytest.raises(ValueError, match="^degree must be non-negative, got -1$"):
+        check(cand, -1)
 
 
 def test_fisher_refuses_bad_candidates():

@@ -476,17 +476,12 @@ def test_bernoulli_witness_is_found_through_a_free_family():
         (free((0, -1, 0, 1)), 1,
          "<w,w> for word (1,) = -1 is not a nonnegative real; "
          "the moment data is not positive"),
-        # words of length 2 * 3 reach past the depth, but the Gram path meets
-        # the negative diagonal entry first
-        (free((0, -1, 0, 1)), 3,
-         "<w,w> for word (1,) = -1 is not a nonnegative real; "
-         "the moment data is not positive"),
         # h_2 = m_4 - m_2^2 = -1/2 < 0, though every diagonal entry is positive
         (free((0, 1, 0, Fraction(1, 2)), CATALAN), 2,
          "pivot -1/2 at column 3 is not a positive real: "
          "the matrix is not positive semidefinite"),
     ],
-    ids=["negative-variance", "negative-variance-past-depth", "indefinite-hankel"],
+    ids=["negative-variance", "indefinite-hankel"],
 )
 def test_non_positive_free_family_raises_the_gram_message(spec, degree, message):
     for kernel in (relation_kernel, gram_kernel):
@@ -500,14 +495,39 @@ def test_non_positive_free_family_raises_the_gram_message(spec, degree, message)
     [
         (free(CATALAN[:4], CATALAN[:4]), 12, "word length 5 exceeds supplied moment depth 4"),
         (DistributionSpec.standard_semicircular(2), 5, "word length 6 exceeds degree bound 5"),
+        # the Gram matrix would meet the negative diagonal entry <Z1, Z1> first,
+        # but its reach, words of length 2 * 3, is checked before any moment
+        (free((0, -1, 0, 1)), 12, "word length 5 exceeds supplied moment depth 4"),
     ],
-    ids=["moment-depth", "degree-bound"],
+    ids=["moment-depth", "degree-bound", "negative-variance-past-depth"],
 )
 def test_depth_overflow_raises_the_gram_message(spec, degree_bound, message):
     for kernel in (relation_kernel, gram_kernel):
         with pytest.raises(DegreeBoundExceeded) as info:
             kernel(TraceFunctional(spec, degree_bound), 3)
         assert str(info.value) == message
+
+
+def test_a_relation_kernel_past_the_limit_reads_no_moment():
+    # the Gram matrix of degree 7 reaches 14 letters, past the bound of 12
+    trace = TraceFunctional(DistributionSpec.standard_semicircular(2))
+    with pytest.raises(DegreeBoundExceeded, match="^word length 13 exceeds degree bound 12$"):
+        relation_kernel(trace, 7)
+    assert trace._memo == {(): Scalar(1)}
+
+
+@pytest.mark.parametrize(
+    "kernel, spec",
+    [
+        (relation_kernel, bernoulli_spec()),
+        (relation_kernel, DistributionSpec.standard_semicircular(2)),
+        (gram_kernel, DistributionSpec.standard_semicircular(2)),
+    ],
+    ids=["relation-kernel-table", "relation-kernel-free", "gram-kernel"],
+)
+def test_a_negative_degree_is_refused_not_an_empty_kernel(kernel, spec):
+    with pytest.raises(ValueError, match="^degree must be non-negative, got -1$"):
+        kernel(TraceFunctional(spec), -1)
 
 
 def test_a_gram_past_the_limit_raises_before_it_takes_memory():

@@ -531,6 +531,12 @@ def test_explicit_table_must_respect_the_star():
         explicit(1, 0, {(): Scalar(0, 1)})
 
 
+def test_a_negative_degree_bound_is_refused(semi1):
+    # such a functional could evaluate no word, not even the empty one
+    with pytest.raises(ValueError, match="^degree bound must be non-negative, got -1$"):
+        TraceFunctional(semi1, degree_bound=-1)
+
+
 def test_degree_bound_is_enforced(semi1):
     trace = TraceFunctional(semi1, degree_bound=4)
     assert trace.moment((1,) * 4) == Scalar(2)

@@ -31,6 +31,9 @@ def test_tracer_plans_every_traced_method(monkeypatch):
     for binding in [
         (ncfree.randmat, "empirical_margins"),
         (ncfree.cli, "empirical_margins"),
+        # the margins ensemble is drawn in the CLI, so its probe must see that draw
+        (ncfree.randmat, "sample"),
+        (ncfree.cli, "sample"),
         (ncfree.reduction, "gram_matrix"),
         (ncfree.conjugate, "check_conjugate"),
         (ncfree.conjugate, "check_duality"),
