@@ -270,15 +270,22 @@ def cmd_duality(args, data: dict) -> int:
     # a trial reads tau(x y[:k]) with |x| <= degree and |y[:k]| < degree
     trace.check_sweep(2 * args.degree - 1)
     rng = random.Random(args.seed)
-    below = rng._randbelow  # the draw rng.randint(1, n) makes, as in rand_word
+    bits, k = rng.getrandbits, n.bit_length()
+    monomials = {}  # each distinct drawn word's monomial, valid by construction
     failures = []
     for _ in range(args.trials):
         w1 = rand_word(rng, n, args.degree)
         w2 = rand_word(rng, n, args.degree, min_len=1)
-        i = 1 + below(n)
-        # the drawn words are valid by construction
-        p1 = NcPoly._trusted(n, {w1: ONE})
-        p2 = NcPoly._trusted(n, {w2: ONE})
+        i = bits(k)  # i = rng.randint(1, n), drawn inline as rand_word draws a letter
+        while i >= n:
+            i = bits(k)
+        i += 1
+        p1 = monomials.get(w1)
+        if p1 is None:
+            p1 = monomials[w1] = NcPoly._trusted(n, {w1: ONE})
+        p2 = monomials.get(w2)
+        if p2 is None:
+            p2 = monomials[w2] = NcPoly._trusted(n, {w2: ONE})
         if not check_duality(trace, p1, p2, i):
             failures.append({"p1": p1.to_text(), "p2": p2.to_text(), "i": i})
     emit(

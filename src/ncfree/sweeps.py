@@ -16,16 +16,29 @@ from .scalars import Scalar
 def rand_word(rng: random.Random, n: int, max_len: int, min_len: int = 0) -> Word:
     """A word of min_len..max_len letters from 1..n.
 
-    The length is min_len + _randbelow(max_len - min_len + 1) and each letter
-    is 1 + _randbelow(n): the draws rng.randint(min_len, max_len) and
-    rng.randint(1, n) make on CPython 3.10-3.13, so a seed gives the words it
-    always gave.  An empty range raises ValueError before any draw, since
-    _randbelow loops forever on a width below 1.
+    Each draw below a width w runs inline the loop of CPython 3.10-3.13's
+    Random._randbelow: r = rng.getrandbits(w.bit_length()), redrawn while
+    r >= w.  So the length and the letters are the stream that
+    rng.randint(min_len, max_len) and then rng.randint(1, n) per letter
+    draw, bit for bit.  A negative min_len, or an empty range, on which the
+    loop would never end, raises ValueError before any draw.
     """
-    if n < 1 or min_len > max_len:
+    if n < 1 or not 0 <= min_len <= max_len:
         raise ValueError(f"no word of {min_len}..{max_len} letters from 1..{n}")
-    below = rng._randbelow
-    return tuple([1 + below(n) for _ in range(min_len + below(max_len - min_len + 1))])
+    bits = rng.getrandbits
+    width = max_len - min_len + 1
+    k = width.bit_length()
+    length = bits(k)
+    while length >= width:
+        length = bits(k)
+    k = n.bit_length()
+    word = []
+    for _ in range(min_len + length):
+        letter = bits(k)
+        while letter >= n:
+            letter = bits(k)
+        word.append(letter + 1)
+    return tuple(word)
 
 
 def rand_scalar(rng: random.Random, complex_parts: bool = True) -> Scalar:

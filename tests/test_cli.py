@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ncfree
-from ncfree import randmat
+from ncfree import NcPoly, randmat
 from ncfree.cli import main
 from ncfree.sweeps import rand_nonzero_poly
 
@@ -223,6 +223,56 @@ def test_duality_sweep_checks_the_trials_randint_and_choice_draw(tmp_path, monke
                 expected.append((w1, w2, reference.randint(1, n)))
             assert checked == expected
             assert generators[-1].getstate() == reference.getstate()
+
+
+def reference_trials(seed, n, trials, degree):
+    """The (w1, w2, i) of each duality trial, drawn with randint and choice."""
+    reference, letters = random.Random(seed), range(1, n + 1)
+    for _ in range(trials):
+        w1 = tuple(reference.choice(letters) for _ in range(reference.randint(0, degree)))
+        w2 = tuple(reference.choice(letters) for _ in range(reference.randint(1, degree)))
+        yield w1, w2, reference.randint(1, n)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7, 11])
+def test_duality_builds_each_distinct_monomial_once(capsys, monkeypatch, seed):
+    built = []
+    original = NcPoly._trusted.__func__
+
+    def counting(cls, n, terms):
+        built.append(tuple(terms))
+        return original(cls, n, terms)
+
+    monkeypatch.setattr(NcPoly, "_trusted", classmethod(counting))
+    argv = ["duality", "--spec", str(BENCH_SPECS / "semicircular-2.json"), "--trials", "200",
+            "--degree", "5", "--seed", str(seed)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    words = {w for w1, w2, _ in reference_trials(seed, 2, 200, 5) for w in (w1, w2)}
+    assert len(built) == len(words) < 400
+    assert {w for [w] in built} == words
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_duality_prints_each_failing_trial(capsys, seed):
+    """With tau(Z1) = i, tau(v*) is not conj tau(v) at v = (1): the failures
+    block lists what check_duality rejects, in the order drawn."""
+    spec = str(BENCH_SPECS / "semicircular-2.json")
+    trace = ncfree.cli.trace_from(ncfree.cli.load_spec_file(spec))
+    trace._memo[(1,)] = ncfree.Scalar(0, 1)
+    argv = ["duality", "--spec", spec, "--trials", "60", "--degree", "3", "--seed", str(seed)]
+    assert main(argv) == 1
+    document, _ = read_result(capsys)
+    [kept] = ncfree.cli._traces.values()
+    assert kept is trace
+    expected = []
+    for w1, w2, i in reference_trials(seed, 2, 60, 3):
+        p1, p2 = NcPoly.monomial(2, w1), NcPoly.monomial(2, w2)
+        if not ncfree.conjugate.check_duality(trace, p1, p2, i):
+            expected.append({"p1": p1.to_text(), "p2": p2.to_text(), "i": i})
+    assert document["result"]["failures"] == expected
+    assert any(failure["p1"] == "1 * Z" for failure in expected)
+    assert len(expected) < 60
 
 
 # -- reduce ---------------------------------------------------------------------

@@ -549,22 +549,27 @@ def test_duality_random_polynomials(rng, trace2):
 
 
 def test_rand_word_draws_what_randint_draws():
-    for seed in range(50):
-        for n in (1, 2, 3, 5, 7):
-            rng, reference = random.Random(seed), random.Random(seed)
-            for _ in range(50):
-                word = rand_word(rng, n, 6, min_len=1)
-                length = reference.randint(1, 6)
-                assert word == tuple(reference.randint(1, n) for _ in range(length))
-            assert rng.getstate() == reference.getstate()
+    """Widths 1..10 for the length and 1..9 for a letter, powers of two or not."""
+    for min_len in (0, 1):
+        for max_len in range(min_len, 10):
+            for n in range(1, 10):
+                for seed in range(10):
+                    rng, reference = random.Random(seed), random.Random(seed)
+                    for _ in range(25):
+                        word = rand_word(rng, n, max_len, min_len)
+                        length = reference.randint(min_len, max_len)
+                        assert word == tuple(reference.randint(1, n) for _ in range(length))
+                    assert rng.getstate() == reference.getstate()
 
 
 
 def test_rand_word_rejects_an_empty_range_before_any_draw():
     rng = random.Random(3)
     state = rng.getstate()
-    # at n = 0 a drawn length of 0 once gave (), and any other an IndexError
-    for n, max_len, min_len in [(0, 4, 0), (0, 4, 1), (-1, 2, 0), (2, 3, 4), (2, -1, 0)]:
+    # at n = 0 a drawn length of 0 once gave (), and any other an IndexError;
+    # a negative min_len once gave () for every negative length drawn
+    for n, max_len, min_len in [(0, 4, 0), (0, 4, 1), (-1, 2, 0), (2, 3, 4), (2, -1, 0),
+                                (2, 3, -3)]:
         with pytest.raises(ValueError):
             rand_word(rng, n, max_len, min_len)
         assert rng.getstate() == state
