@@ -12,13 +12,13 @@ with xi_j = sum_u c_u u, the relation is an identity between moments,
 
     sum over p with w[p] = j of tau(w[:p]) tau(w[p+1:]) = sum_u c_u tau(u w),
 
-so each side is a sum of moment lookups.  A word with an odd count of a
-symmetric letter (TraceFunctional.symmetric_letters) has moment 0, and a
-term is added only when its factors are nonzero.  The sweep carries each
-word's parity mask as it walks the words, so a word on which every relation
+so each side is a sum of moment lookups.  A word has moment 0 unless its
+parity mask, the XOR of TraceFunctional.parity_bits over its letters, is 0,
+and a term is added only when its factors are nonzero.  The sweep carries
+each word's mask as it walks the words, so a word on which every relation
 is 0 = 0 by parity is never built or looked up.  The moments are read
-straight from the trace's memo, a stored 0 included; a miss goes through
-TraceFunctional.moment.
+straight from the trace's memo through TraceFunctional.cached, a stored 0
+included; a miss goes through TraceFunctional.moment.
 
 The left side at w depends on the distribution alone, not on the
 candidate.  It is summed once and kept on the trace functional
@@ -142,10 +142,10 @@ def _masked_words(
                 yield prefix + tail, word_mask
 
 
-def _left_side(word: Word, j: int, bits: Sequence[int], trace: TraceFunctional) -> Scalar:
-    """(tau (x) tau)(d_j w) for a word of mask bits[j]: the sum over the splits
-    w = a Z_j b of tau(a) tau(b), skipping a head a of nonzero mask."""
-    cached = trace._memo.get
+def _left_side(word: Word, j: int, trace: TraceFunctional) -> Scalar:
+    """(tau (x) tau)(d_j w) for a word of mask parity_bits[j]: the sum over the
+    splits w = a Z_j b of tau(a) tau(b), skipping a head a of nonzero mask."""
+    cached, bits = trace.cached, trace.parity_bits
     lhs = ZERO
     head_mask = 0
     for pos, letter in enumerate(word):
@@ -181,13 +181,10 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
     longest = degree + max(xi_degrees) if xi_degrees else degree - 1
     trace.check_sweep(longest)
     moment = trace.moment
-    cached = trace._memo.get
-    # bit s of mask(v) is the parity of the count of symmetric letter s in v,
-    # and tau(v) = 0 unless mask(v) = 0: tau(u w) needs mask(u) = mask(w), and a
-    # split of w around Z_j needs mask(w) = bit j and then a head of mask 0
-    bits = [0] * (cand.spec.n + 1)
-    for letter in trace.symmetric_letters:
-        bits[letter] = 1 << letter
+    cached = trace.cached
+    # tau(v) = 0 unless mask(v) = 0: tau(u w) needs mask(u) = mask(w), and a
+    # split of w around Z_j needs mask(w) = bits[j] and then a head of mask 0
+    bits = trace.parity_bits
     # word mask -> the relations not 0 = 0 there, as (j, the left sides of j,
     # or None where parity makes the left side 0, the xi_j terms of that mask)
     relations: dict[int, list] = {}
@@ -210,7 +207,7 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
             if sides is not None:
                 lhs = sides.get(word)
                 if lhs is None:
-                    lhs = sides[word] = _left_side(word, j, bits, trace)
+                    lhs = sides[word] = _left_side(word, j, trace)
             rhs = ZERO
             for u, coeff in terms:
                 uw = u + word
@@ -296,7 +293,7 @@ def _duality_difference(
 ) -> dict[Word, Scalar]:
     """The coefficients conj(a b) (conj tau(v) - tau(v*)) of check_duality, by word."""
     moment = trace.moment
-    cached = trace._memo.get
+    cached = trace.cached
     # a table lacking tau(v*) raises once every tau(v) is read, for the last
     # such term: what reading all tau(v), then all tau(v*) from the last term
     # back, meets first

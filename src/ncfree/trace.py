@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DegreeBoundExceeded, NonPositiveMoments, UnknownMoment
-from .ncpoly import NcPoly, Word, is_letter
+from .ncpoly import NcPoly, Word, check_word, is_letter
 from .scalars import ONE, ZERO, Scalar
 from .tensor import TensorPoly2
 
@@ -298,14 +298,15 @@ def _nc_moment(
     word: Word,
     cumulants: Sequence[Sequence[Scalar]],
     memo: dict[Word, Scalar],
-    symmetric: Sequence[int] = (),
+    symmetric: Sequence[int],
+    bits: Sequence[int],
 ) -> Scalar:
     """Sum over non-crossing partitions of `word` with monochromatic blocks.
 
     A block of k copies of letter i contributes cumulants[i - 1][k - 1], and
     no block of that letter is longer than its list.  Asked on a miss of
-    `memo`, which holds tau() = 1; `word` is stored there.  `symmetric` lists
-    letters whose odd cumulants all vanish: a word with an odd count of one is 0.
+    `memo`, which holds tau() = 1; `word` is stored there.  A word with an odd
+    count of a letter in `symmetric`, which sets that letter's `bits`, is 0.
 
     A free product of tracial states is tracial, so a word is looked up under
     its least rotation, the key all its rotations share.  A missing key is
@@ -324,7 +325,7 @@ def _nc_moment(
     if value is None:
         n, prefix = len(key), [0]  # prefix[b] ^ prefix[a] is the parity mask of key[a:b]
         for letter in key:
-            prefix.append(prefix[-1] ^ (1 << letter if letter in symmetric else 0))
+            prefix.append(prefix[-1] ^ bits[letter])
         try:  # a KeyError: a subword that the sum reads is not stored yet
             value = memo[key] = _block_sum(key, 0, n, cumulants, prefix, memo)
         except KeyError:
@@ -371,7 +372,7 @@ def free_cumulants(moments: Sequence[Fraction]) -> list[Fraction]:
         word = (1,) * k
         m_k = Scalar(Fraction(m_k))
         # all partitions of 1^k but the one block use only kappa_1..kappa_{k-1}
-        kappa.append(m_k - _nc_moment(word, [kappa], memo))
+        kappa.append(m_k - _nc_moment(word, [kappa], memo, (), (0, 0)))
         memo[word] = m_k  # the true m_k, for the longer words that contain 1^k
     return [value.re for value in kappa]
 
@@ -397,14 +398,14 @@ class TraceFunctional:
     word length with the tightest limit and looks the word up.  A functional
     owns everything computed from its tau alone: the moment memo, which
     starts with tau() = 1 and each free letter's own moments or the table's
-    entries; the free cumulants, inverted once and only by a mixed-word miss
-    or symmetric_letters; the conjugate relations' left sides; and the
-    free-family certificate's per-degree verdicts.  So the first call on a
-    functional pays in full and later calls on it read them; a caller that
-    wants them shared keeps the functional (the CLI keeps one per spec text).
-    A table is never certified.  A free-family miss is summed without
-    recursion (`_nc_moment`), so only a word past the stated limits raises
-    DegreeBoundExceeded.
+    entries, read unchecked through `cached`; the free cumulants, inverted
+    once and only by a mixed-word miss or `parity_bits`; the conjugate
+    relations' left sides; and the free-family certificate's per-degree
+    verdicts.  So the first call on a functional pays in full and later calls
+    on it read them; a caller that wants them shared keeps the functional (the
+    CLI keeps one per spec text).  A table is never certified.  A free-family
+    miss is summed without recursion (`_nc_moment`), so only a word past the
+    stated limits raises DegreeBoundExceeded.
     """
 
     def __init__(self, spec: DistributionSpec, degree_bound: int = DEFAULT_DEGREE_BOUND):
@@ -425,9 +426,11 @@ class TraceFunctional:
             self._limits.append((depth, "supplied moment depth"))
         #: the longest word `moment` evaluates without DegreeBoundExceeded
         self.max_word_length = min(limit for limit, _ in self._limits)
-        # the memo holds only words `moment` accepts, so a hit can be read
-        # straight from it (check_conjugate does)
+        # the memo holds only words `moment` accepts, so a hit needs no check
         self._memo: dict[Word, Scalar] = {(): ONE}
+        #: cached(w) is tau(w) if the memo holds w, else None
+        self.cached = self._memo.get
+        self._letters = frozenset(range(1, spec.n + 1))
         if isinstance(variant, FreeFamily):
             for letter, seq in enumerate(variant.moments, start=1):
                 for k, m_k in enumerate(seq[:self.max_word_length], start=1):
@@ -459,13 +462,20 @@ class TraceFunctional:
         return tuple(cumulants)
 
     @functools.cached_property
-    def symmetric_letters(self) -> tuple[int, ...]:
-        """The letters whose odd free cumulants all vanish, () for a table: a
-        word with an odd count of one has moment 0."""
+    def _symmetric(self) -> tuple[int, ...]:
+        """The letters whose odd free cumulants all vanish, () for a table;
+        `_nc_moment` counts them before it builds a mask."""
         if not self.free:
             return ()
         kappas = enumerate(self._cumulants, start=1)
         return tuple(letter for letter, kappa in kappas if not any(kappa[0::2]))
+
+    @functools.cached_property
+    def parity_bits(self) -> tuple[int, ...]:
+        """parity_bits[i] = 1 << i for a letter i whose odd free cumulants all
+        vanish, else 0, and parity_bits[0] = 0; all zeros for a table.  tau(w)
+        = 0 unless the XOR of parity_bits over w, its parity mask, is 0."""
+        return tuple(1 << i if i in self._symmetric else 0 for i in range(self.spec.n + 1))
 
     def check_length(self, length: int) -> None:
         """Raise the DegreeBoundExceeded `moment` raises on a word of `length`."""
@@ -481,15 +491,17 @@ class TraceFunctional:
     # -- moments ---------------------------------------------------------
 
     def moment(self, word: Word) -> Scalar:
-        """tau of a single word."""
+        """tau of a single word; a miss with a letter outside 1..n raises IndexOutOfRange."""
         word = tuple(word)
         if len(word) > self.max_word_length:
             self.check_length(len(word))
-        value = self._memo.get(word)
+        value = self.cached(word)
         if value is None:
+            if not self._letters.issuperset(word):
+                check_word(word, self.spec.n)
             if not self.free:
                 raise UnknownMoment(f"no table entry for word {word}")
-            value = _nc_moment(word, self._cumulants, self._memo, self.symmetric_letters)
+            value = _nc_moment(word, self._cumulants, self._memo, self._symmetric, self.parity_bits)
         return value
 
     # -- linear extensions --------------------------------------------------

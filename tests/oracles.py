@@ -9,6 +9,7 @@ from the calculus' tensor objects, a path check_duality does not take.
 """
 
 from fractions import Fraction
+import functools
 import itertools
 from itertools import combinations
 
@@ -91,16 +92,20 @@ def semicircular_moment_oracle(word, variances):
     return total
 
 
+@functools.cache
+def noncrossing_partitions(k):
+    """Every non-crossing set partition of range(k), filtered from all of them."""
+    return tuple(blocks for blocks in all_set_partitions(k) if is_noncrossing(blocks))
+
+
 def free_moment_oracle(word, cumulants):
     """Sum over all non-crossing monochromatic set partitions.
 
     `cumulants[i]` is the cumulant sequence kappa_1.. of generator i+1.
     """
     total = Fraction(0)
-    for blocks in all_set_partitions(len(word)):
+    for blocks in noncrossing_partitions(len(word)):
         if any(len({word[i] for i in block}) != 1 for block in blocks):
-            continue
-        if not is_noncrossing(blocks):
             continue
         product = Fraction(1)
         for block in blocks:

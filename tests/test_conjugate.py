@@ -305,7 +305,7 @@ def test_a_second_candidate_on_one_functional_sums_no_split(monkeypatch):
 def test_a_stored_zero_moment_is_a_hit(monkeypatch):
     trace = TraceFunctional(DistributionSpec.standard_semicircular(2))
     cold = check_conjugate(ConjugateCandidate(gens(2), trace), degree=6)
-    assert trace._memo[(1, 2, 1, 2)] == Scalar(0)  # read at w = (2 1 2) for j = 1
+    assert trace.cached((1, 2, 1, 2)) == Scalar(0)  # read at w = (2 1 2) for j = 1
     calls = []
     original = TraceFunctional.moment
 
@@ -337,7 +337,7 @@ def test_a_functional_with_a_changed_moment_leaves_no_stale_left_side():
     # and none of them enters the first functional
     assert check_conjugate(ConjugateCandidate(gens(2), trace), degree=5).passed
     assert trace.left_sides[1][(1, 1, 1)] == Scalar(2)
-    assert trace._memo[(1, 1)] == Scalar(1)
+    assert trace.cached((1, 1)) == Scalar(1)
     assert trace.certified == {}
 
 

@@ -155,3 +155,35 @@ def test_the_library_keeps_no_process_state(path):
     # object keeps what it computes on itself
     found = process_state(ast.parse(path.read_text()))
     assert not found, f"{path.name} keeps process state: {found}"
+
+
+def private_trace_names():
+    """The `_`-prefixed names, dunders aside, that TraceFunctional defines: its
+    private methods and properties and the attributes its methods set on self."""
+    tree = ast.parse((ROOT / "src" / "ncfree" / "trace.py").read_text())
+    [cls] = [node for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == "TraceFunctional"]
+    names = {item.name for item in cls.body if isinstance(item, ast.FunctionDef)}
+    names |= {
+        node.attr for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+OUTSIDE_TRACE = [path for path in MODULES if path.name != "trace.py"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_TRACE, ids=[path.name for path in OUTSIDE_TRACE])
+def test_only_trace_reads_the_private_names_of_a_trace(path):
+    # the memo and the parity rule are read through TraceFunctional.cached
+    # and TraceFunctional.parity_bits, so how they are kept can change in trace.py alone
+    private = private_trace_names()
+    assert {"_memo", "_cumulants", "_limits"} <= private
+    found = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert not found, f"{path.name} reads private names of a trace: {found}"

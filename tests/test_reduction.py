@@ -1,7 +1,9 @@
+import functools
 import random
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
+from operator import xor
 
 import pytest
 
@@ -402,6 +404,19 @@ def test_the_moment_fill_gives_one_memo_in_any_order(name):
     cumulants = _oracle_cumulants(spec)
     for word in random.Random(name).sample(words, min(len(words), 12)):
         assert first[word] == Scalar(free_moment_oracle(word, cumulants)), word
+
+
+@pytest.mark.parametrize("name", list(CROSS_CHECK_SPECS))
+def test_a_nonzero_parity_mask_means_the_oracle_moment_is_0(name):
+    spec, _ = CROSS_CHECK_SPECS[name]
+    bits = TraceFunctional(spec).parity_bits
+    words = words_up_to(spec.n, 8)
+    masked = [w for w in words if functools.reduce(xor, map(bits.__getitem__, w), 0)]
+    # a rotation of a word rotates its non-crossing partitions, so one word of
+    # each necklace stands for all of its rotations
+    necklaces = {min(w[k:] + w[:k] for k in range(len(w))) for w in masked}
+    cumulants = _oracle_cumulants(spec)
+    assert [w for w in sorted(necklaces) if free_moment_oracle(w, cumulants)] == []
 
 
 def test_stored_certificates_match_a_fresh_memo_in_any_order():

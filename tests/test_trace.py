@@ -12,7 +12,12 @@ import pytest
 import ncfree
 import ncfree.cli
 from ncfree import DistributionSpec, NcPoly, TensorPoly2, TraceFunctional
-from ncfree.errors import DegreeBoundExceeded, NonPositiveMoments, UnknownMoment
+from ncfree.errors import (
+    DegreeBoundExceeded,
+    IndexOutOfRange,
+    NonPositiveMoments,
+    UnknownMoment,
+)
 from ncfree.scalars import Scalar
 from ncfree.sweeps import rand_poly
 from ncfree.trace import (
@@ -204,6 +209,53 @@ def test_parity_rule_answers_before_the_recursion():
     assert len(trace._memo) > before + 1
 
 
+def test_parity_bits_mark_the_symmetric_free_letters():
+    for spec, bits in [
+        (DistributionSpec.standard_semicircular(2), (0, 2, 4)),
+        (DistributionSpec(2, FreeFamily((BERNOULLI_MOMENTS, POISSON_MOMENTS))), (0, 2, 0)),
+        # the zero variable: every cumulant is 0, the odd ones included
+        (DistributionSpec(2, FreeFamily(((0,) * 8, POISSON_MOMENTS[:8]))), (0, 2, 0)),
+        # a table may hold any tracial state, so no letter gets a bit
+        (bernoulli_spec(), (0, 0)),
+        (DistributionSpec(2, ExplicitMoments({(1, 1): 1, (2, 2): 1}, 4)), (0, 0, 0)),
+    ]:
+        assert TraceFunctional(spec).parity_bits == bits
+
+
+def test_cached_reads_what_moment_stores():
+    mixed = DistributionSpec(2, FreeFamily((BERNOULLI_MOMENTS, POISSON_MOMENTS)))
+    for spec in [DistributionSpec.standard_semicircular(2), mixed]:
+        trace = TraceFunctional(spec)
+        assert trace.cached(()) == Scalar(1)
+        # an even word that is summed, and one odd in letter 1 that parity answers
+        for word in [(1, 2, 1, 1, 2, 1), (2, 1, 2)]:
+            assert trace.cached(word) is None
+            value = trace.moment(word)
+            assert trace.cached(word) == value
+
+
+LETTER_CHECK_SPECS = {
+    "semicircular-2": DistributionSpec.standard_semicircular(2),
+    "free": DistributionSpec(2, FreeFamily(((0, 1, 0, 2), (1, 2, 5, 14)))),
+    "table": DistributionSpec(2, ExplicitMoments({(1, 1): 1, (2, 2): 1}, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(LETTER_CHECK_SPECS))
+def test_a_letter_outside_1_to_n_raises_before_anything_is_stored(name):
+    trace = TraceFunctional(LETTER_CHECK_SPECS[name])
+    # (0) would index letter n's cumulants, and parity would answer (1 3), odd in letter 1
+    for word, bad in [((0,), 0), ((0, 0), 0), ((1, 3), 3), ((3, 3), 3), ((2, -1, 2), -1)]:
+        with pytest.raises(IndexOutOfRange, match=f"^letter {bad} outside 1..2$"):
+            trace.moment(word)
+        assert trace.cached(word) is None
+    with pytest.raises(IndexOutOfRange, match="^letter 3 outside 1..2$"):
+        trace.trace_poly(NcPoly.monomial(3, (1, 3)))
+    assert trace.cached((1, 3)) is None
+    # a polynomial over more letters that uses only 1..n still has a trace
+    assert trace.trace_poly(NcPoly.monomial(3, (1, 1))) == Scalar(1)
+
+
 def test_memo_holds_only_words_moment_accepts():
     # table deeper than the degree bound, free letters of unequal depth
     table = {(1,) * k: Scalar(0 if k % 2 else 1) for k in range(7)}
@@ -315,7 +367,7 @@ def test_cumulants_are_inverted_once_per_functional_on_a_miss(monkeypatch):
     assert inversions == []  # every one-letter word is a hit
     assert first.moment((1, 2)) == Scalar(1)
     assert len(inversions) == 2  # one inversion per letter
-    assert first.moment((1, 2, 1, 2)) and first.symmetric_letters == ()
+    assert first.moment((1, 2, 1, 2)) and first.parity_bits == (0, 0, 0)
     assert len(inversions) == 2
     # another functional on the family inverts them again, once
     second = TraceFunctional(spec, degree_bound=4)
@@ -351,7 +403,7 @@ def test_each_block_state_is_summed_once(monkeypatch):
     assert TraceFunctional(spec, degree_bound=24).moment(word) == Scalar(96)
     assert free_moment_oracle(word, ((1,) * 8,) * 2) == 96
     trace = TraceFunctional(DistributionSpec(2, FreeFamily((BERNOULLI_MOMENTS, POISSON_MOMENTS))))
-    assert trace.symmetric_letters == (1,)  # each letter's inversion sums 1^k
+    assert trace.parity_bits == (0, 2, 0)  # each letter's inversion sums 1^k
     sums.clear()
     words = [word for length in range(9) for word in product((1, 2), repeat=length)]
     for word in words[::-1]:  # longest first: subwords meet rotations of stored ones
