@@ -12,9 +12,10 @@ A DistributionSpec describes the joint distribution of the n generators:
 * ExplicitMoments -- a user-supplied word -> value table up to a degree bound.
 
 Both free variants sum over the block of a word's first letter in its
-non-crossing partitions, exactly, on Scalar values, and fill the memo of
-subwords bottom up, so no call nests once per letter; the same sum inverts
-a moment sequence into free cumulants.  A block of a letter never grows past
+non-crossing partitions, exactly, on Scalar values.  A sum asks for the
+subwords it reads that the memo lacks, and one explicit stack of sums
+answers them, so no call nests once per letter; the same sum inverts a
+moment sequence into free cumulants.  A block of a letter never grows past
 that letter's last nonzero cumulant, so semicircular words only pair letters.
 
 The sum also uses a parity rule.  A law is symmetric exactly when its
@@ -310,11 +311,13 @@ def _nc_moment(
 
     A free product of tracial states is tracial, so a word is looked up under
     its least rotation, the key all its rotations share.  A missing key is
-    summed by `_block_sum` from the stored values of its subwords.  If one is
-    missing, the memo is first filled bottom up: each subword key[a:b] is read
-    under itself or its least rotation, or else summed and stored under both,
-    shortest first.  No call nests per letter.  An odd subword reads 0 from a
-    prefix mask and is never stored.
+    summed by `_block_sum`, which asks for each subword key[x:y] that it reads
+    and the memo lacks.  One stack of sums answers: from the memo under the
+    subword's least rotation if it is there, else by a sum pushed for that
+    subword, whose result goes to the sum that asked.  So each subword that
+    some sum reads is summed once, every sum started finishes, and no call
+    nests per letter.  An odd subword reads 0 from a prefix mask and is never
+    stored.
     """
     for letter in symmetric:
         if word.count(letter) & 1:
@@ -323,30 +326,37 @@ def _nc_moment(
     key = least_rotation(word)
     value = memo.get(key)
     if value is None:
-        n, prefix = len(key), [0]  # prefix[b] ^ prefix[a] is the parity mask of key[a:b]
-        for letter in key:
-            prefix.append(prefix[-1] ^ bits[letter])
-        try:  # a KeyError: a subword that the sum reads is not stored yet
-            value = memo[key] = _block_sum(key, 0, n, cumulants, prefix, memo)
-        except KeyError:
-            for span in range(1, n + 1):
-                for a, b in zip(range(n), range(span, n + 1)):
-                    if prefix[a] == prefix[b] and key[a:b] not in memo:
-                        turn = least_rotation(key[a:b])
-                        if turn not in memo:
-                            memo[turn] = _block_sum(key, a, b, cumulants, prefix, memo)
-                        memo[key[a:b]] = memo[turn]
-            value = memo[key]
+        prefix = [0]  # prefix[b] ^ prefix[a] is the parity mask of key[a:b]
+        try:
+            for letter in key:
+                prefix.append(prefix[-1] ^ bits[letter])
+        except TypeError:  # a letter such as 1.0 that equals one of 1..n
+            check_word(word, len(bits) - 1)
+            raise
+        stack = [_block_sum(key, 0, len(key), cumulants, prefix, memo)]
+        while stack:  # value is sent to the top sum: None to start it, else what it asked
+            try:
+                x, y = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+                continue
+            value = memo.get(least_rotation(key[x:y]))
+            if value is None:
+                stack.append(_block_sum(key, x, y, cumulants, prefix, memo))
     memo[word] = value
     return value
 
 
-def _block_sum(key: Word, a: int, b: int, cumulants, prefix, memo) -> Scalar:
-    """tau(key[a:b]) summed over the block of its first letter, from the values
-    memo[key[x:y]], a < x <= y <= b; a missing one of parity mask 0 raises
-    KeyError.  The block sits at a = q_0 < q_1 < ... of that letter; ends[i]
-    sums the ways to finish a block of `size` elements at q_i, from the size
-    above or by closing it at q_c = b with kappa[size - 1]: each state once."""
+def _block_sum(key: Word, a: int, b: int, cumulants, prefix, memo):
+    """A generator of tau(key[a:b]), summed over the block of its first letter
+    from the values of the subwords key[x:y], a < x <= y <= b, of parity mask
+    0.  For each one that `memo` lacks it yields (x, y), is sent its value and
+    stores it under key[x:y]; it stores its sum under the least rotation of
+    key[a:b] and returns it.  The block sits at a = q_0 < q_1 < ... of that
+    letter; ends[i] sums the ways to finish a block of `size` elements at q_i,
+    from the size above or by closing it at q_c = b with kappa[size - 1]:
+    each state once."""
     kappa = cumulants[key[a] - 1]
     q = [p for p in range(a, b) if key[p] == key[a]] + [b]
     c = len(q) - 1
@@ -357,11 +367,15 @@ def _block_sum(key: Word, a: int, b: int, cumulants, prefix, memo) -> Scalar:
         longer[c] = kappa[size - 1]
         for i in range(size - 1, c if size > 1 else 1):
             start, mask = q[i] + 1, prefix[q[i] + 1]
-            js = range(i + 1 if size < longest else c, c + 1)  # blocks end at q_c = b
-            terms = [memo[key[start:q[j]]] * longer[j] for j in js
-                     if longer[j] and mask == prefix[q[j]]]
-            ends[i] = functools.reduce(Scalar.__add__, terms) if terms else ZERO
-    return ends[0]  # ZERO for the zero variable, whose kappa is empty
+            for j in range(i + 1 if size < longest else c, c + 1):  # blocks end at q_c = b
+                if longer[j] and mask == prefix[q[j]]:
+                    value = memo.get(key[start:q[j]])
+                    if value is None:
+                        value = memo[key[start:q[j]]] = yield start, q[j]
+                    term = value * longer[j]  # the first term saves an add of ZERO
+                    ends[i] = term if ends[i] is ZERO else ends[i] + term
+    memo[least_rotation(key[a:b])] = ends[0]  # ZERO for the zero variable, whose kappa is empty
+    return ends[0]
 
 
 def free_cumulants(moments: Sequence[Fraction]) -> list[Fraction]:
@@ -404,8 +418,8 @@ class TraceFunctional:
     verdicts.  So the first call on a functional pays in full and later calls
     on it read them; a caller that wants them shared keeps the functional (the
     CLI keeps one per spec text).  A table is never certified.  A free-family
-    miss is summed without recursion (`_nc_moment`), so only a word past the
-    stated limits raises DegreeBoundExceeded.
+    miss is summed on one explicit stack, without recursion (`_nc_moment`),
+    so only a word past the stated limits raises DegreeBoundExceeded.
     """
 
     def __init__(self, spec: DistributionSpec, degree_bound: int = DEFAULT_DEGREE_BOUND):
@@ -491,7 +505,14 @@ class TraceFunctional:
     # -- moments ---------------------------------------------------------
 
     def moment(self, word: Word) -> Scalar:
-        """tau of a single word; a miss with a letter outside 1..n raises IndexOutOfRange."""
+        """tau of a single word; a miss with a letter outside 1..n raises IndexOutOfRange.
+
+        So does a miss with a letter such as 1.0 that equals one of 1..n, if
+        the word reaches the sum.  A word that parity answers first, such as
+        (1.0,), and a word with a bool letter give the moment of the equal
+        integer word: a type check of every letter would cost each miss more
+        than the set test does.
+        """
         word = tuple(word)
         if len(word) > self.max_word_length:
             self.check_length(len(word))

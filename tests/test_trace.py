@@ -390,7 +390,7 @@ def test_each_block_state_is_summed_once(monkeypatch):
     original = ncfree.trace._block_sum
 
     def counting(key, a, b, *rest):
-        value = original(key, a, b, *rest)  # a sum that meets a missing subword raises
+        value = original(key, a, b, *rest)  # a generator: every sum started runs to its end
         sums.append(least_rotation(key[a:b]))
         return value
 
@@ -414,6 +414,55 @@ def test_each_block_state_is_summed_once(monkeypatch):
     assert sorted(sums) == sorted(mixed)
 
 
+def test_a_cold_miss_finishes_every_sum_it_starts(monkeypatch):
+    """A miss sums only the subwords that its sums read, and abandons no sum."""
+    started, finished = [], []
+    original = ncfree.trace._block_sum
+
+    def finishing(sums):
+        value = yield from sums
+        finished.append(value)
+        return value
+
+    def counting(*args):
+        started.append(args[1:3])
+        return finishing(original(*args))
+
+    monkeypatch.setattr(ncfree.trace, "_block_sum", counting)
+    catalan = tuple(math.comb(2 * k, k) // (k + 1) for k in range(1, 9))
+    for spec, word, most in [
+        (DistributionSpec.standard_semicircular(2), (1, 2, 2, 1) * 25, 50),
+        (DistributionSpec(3, FreeFamily((catalan,) * 3)), (1, 2, 3, 1, 2, 3, 1, 2), 35),
+    ]:
+        started.clear()
+        finished.clear()
+        value = TraceFunctional(spec, degree_bound=len(word)).moment(word)
+        assert len(started) == len(finished) <= most, (len(started), len(finished))
+        warm = TraceFunctional(spec, degree_bound=len(word))
+        for length in range(len(word) + 1):  # every subword, shortest first
+            for a in range(len(word) - length + 1):
+                warm.moment(word[a:a + length])
+        assert warm.moment(word) == value
+    # the last word, on free Poisson of rate 1, whose cumulants are all 1
+    assert value == Scalar(free_moment_oracle((1, 2, 3, 1, 2, 3, 1, 2), ((1,) * 8,) * 3))
+
+
+def test_a_float_letter_raises_before_anything_is_stored():
+    # 1.0 == 1, so the word passes the set test of moment, but not check_word
+    semicircular = DistributionSpec.standard_semicircular(2)
+    poisson = DistributionSpec(2, FreeFamily((POISSON_MOMENTS, POISSON_MOMENTS)))
+    for spec, word, bad in [
+        (semicircular, (1.0, 2.0, 1.0, 2.0), "1.0"),
+        (semicircular, (1, 2.0, 2, 1), "2.0"),
+        (poisson, (1.0, 2.0), "1.0"),
+    ]:
+        trace = TraceFunctional(spec)
+        before = dict(trace._memo)
+        with pytest.raises(IndexOutOfRange, match=f"^letter {bad} outside 1..2$"):
+            trace.moment(word)
+        assert trace._memo == before
+
+
 def test_least_rotation_is_the_least_of_all_rotations():
     def by_rotations(word):
         return min(word[shift:] + word[:shift] for shift in range(len(word)))
@@ -432,8 +481,8 @@ def test_least_rotation_is_the_least_of_all_rotations():
 
 
 def test_a_400_letter_word_stays_within_the_recursion_limit():
-    # the memo is filled bottom up, so the stack depth does not grow with the
-    # word (test_long_words_need_no_recursion_depth)
+    # the sums wait on one explicit stack, so the call depth does not grow
+    # with the word (test_long_words_need_no_recursion_depth)
     trace = TraceFunctional(DistributionSpec.standard_semicircular(2), degree_bound=400)
     assert trace.moment((1,) * 400) == Scalar(math.comb(400, 200) // 201)
 
