@@ -60,7 +60,7 @@ from .randmat import (
 )
 from .reduction import extract_leading_coeff, relation_kernel
 from .scalars import ONE
-from .sweeps import rand_nonzero_poly, rand_word
+from .sweeps import rand_poly, rand_word
 from .trace import DEFAULT_DEGREE_BOUND, DistributionSpec, TraceFunctional, json_int
 
 EXIT_OK = 0
@@ -348,7 +348,7 @@ def cmd_margins(args, data: dict) -> int:
     results = []
     worst = float("inf")
     for _ in range(args.trials):
-        p = rand_nonzero_poly(rng, n, args.degree)
+        p = rand_poly(rng, n, args.degree)
         j = rng.randint(1, n)
         report = empirical_margins(cand, j, p, samples)
         worst = min(worst, min(report.all_margins()))

@@ -17,8 +17,8 @@ parity mask, the XOR of TraceFunctional.parity_bits over its letters, is 0,
 and a term is added only when its factors are nonzero.  The sweep carries
 each word's mask as it walks the words, so a word on which every relation
 is 0 = 0 by parity is never built or looked up.  The moments are read
-straight from the trace's memo through TraceFunctional.cached, a stored 0
-included; a miss goes through TraceFunctional.moment.
+straight from the trace's memo, TraceFunctional.moments, a stored 0
+included; the memo answers a miss through TraceFunctional.moment.
 
 The left side at w depends on the distribution alone, not on the
 candidate.  It is summed once and kept on the trace functional
@@ -145,20 +145,14 @@ def _masked_words(
 def _left_side(word: Word, j: int, trace: TraceFunctional) -> Scalar:
     """(tau (x) tau)(d_j w) for a word of mask parity_bits[j]: the sum over the
     splits w = a Z_j b of tau(a) tau(b), skipping a head a of nonzero mask."""
-    cached, bits = trace.cached, trace.parity_bits
+    moments, bits = trace.moments, trace.parity_bits
     lhs = ZERO
     head_mask = 0
     for pos, letter in enumerate(word):
         if letter == j and not head_mask:
-            head = word[:pos]
-            left = cached(head)
-            if left is None:
-                left = trace.moment(head)
+            left = moments[word[:pos]]
             if left:
-                tail = word[pos + 1:]
-                right = cached(tail)
-                if right is None:
-                    right = trace.moment(tail)
+                right = moments[word[pos + 1:]]
                 if right:
                     lhs = lhs + left * right
         head_mask ^= bits[letter]
@@ -180,8 +174,7 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
     # the sweep's longest word: u w on the right, or a split's head or tail
     longest = degree + max(xi_degrees) if xi_degrees else degree - 1
     trace.check_sweep(longest)
-    moment = trace.moment
-    cached = trace.cached
+    moments = trace.moments
     # tau(v) = 0 unless mask(v) = 0: tau(u w) needs mask(u) = mask(w), and a
     # split of w around Z_j needs mask(w) = bits[j] and then a head of mask 0
     bits = trace.parity_bits
@@ -210,10 +203,7 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
                     lhs = sides[word] = _left_side(word, j, trace)
             rhs = ZERO
             for u, coeff in terms:
-                uw = u + word
-                value = cached(uw)
-                if value is None:
-                    value = moment(uw)
+                value = moments[u + word]
                 if value:
                     rhs = rhs + coeff * value
             if lhs != rhs:
@@ -271,9 +261,9 @@ def check_duality(
     A moment identity: for P1 = sum a x, P2 = sum b y and each y[k] = i, with
     v = x y[:k], the left side has conj(a b tau(v)) and the right side
     conj(a b) tau(v*) at the word rev(y[k+1:]).  tau(v) and tau(v*) are read
-    apart, from the trace's memo or through TraceFunctional.moment on a miss,
-    so a functional with tau(v*) != conj tau(v) fails.  Only where the two
-    differ is the coefficient conj(a b) (conj tau(v) - tau(v*)) formed.
+    apart from TraceFunctional.moments, so a functional with
+    tau(v*) != conj tau(v) fails.  Only where the two differ is the
+    coefficient conj(a b) (conj tau(v) - tau(v*)) formed.
     """
     check_index(i, p2.n)
     p2._check_compatible(p1)
@@ -292,8 +282,7 @@ def _duality_difference(
     trace: TraceFunctional, p1: NcPoly, p2: NcPoly, i: int
 ) -> dict[Word, Scalar]:
     """The coefficients conj(a b) (conj tau(v) - tau(v*)) of check_duality, by word."""
-    moment = trace.moment
-    cached = trace.cached
+    moments = trace.moments
     # a table lacking tau(v*) raises once every tau(v) is read, for the last
     # such term: what reading all tau(v), then all tau(v*) from the last term
     # back, meets first
@@ -305,23 +294,18 @@ def _duality_difference(
                 if letter != i:
                     continue
                 v = x + y[:k]
-                tau = cached(v)
-                if tau is None:
-                    tau = moment(v)
-                star = cached(v[::-1])
-                if star is None:
-                    try:
-                        star = moment(v[::-1])
-                    except UnknownMoment:
-                        missing = v[::-1]
-                        continue
-                tau = tau.conjugate()
+                tau = moments[v].conjugate()
+                try:
+                    star = moments[v[::-1]]
+                except UnknownMoment:
+                    missing = v[::-1]
+                    continue
                 if tau != star:
                     key = y[k + 1:][::-1]
                     value = (a * b).conjugate() * (tau - star)
                     difference[key] = difference.get(key, ZERO) + value
     if missing is not None:
-        moment(missing)
+        trace.moment(missing)
     return difference
 
 

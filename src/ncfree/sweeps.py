@@ -56,17 +56,15 @@ def rand_poly(
     max_terms: int = 3,
     complex_coeffs: bool = True,
 ) -> NcPoly:
+    """A polynomial of 1..max_terms random words of up to max_deg letters.
+
+    It is never 0: it has at least one term, and `rand_scalar` turns a drawn
+    0 into 1, so no coefficient is 0.
+    """
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         terms[rand_word(rng, n, max_deg)] = rand_scalar(rng, complex_coeffs)
     return NcPoly(n, terms)
-
-
-def rand_nonzero_poly(rng: random.Random, n: int, max_deg: int, **kwargs) -> NcPoly:
-    while True:
-        p = rand_poly(rng, n, max_deg, **kwargs)
-        if not p.is_zero():
-            return p
 
 
 def rand_self_adjoint(rng: random.Random, n: int, max_deg: int) -> NcPoly:

@@ -91,7 +91,7 @@ class TensorPoly2(SparseTerms):
 
 class TensorPoly3(SparseTerms):
     """Sparse element of the tensor cube: a linear carrier that no library code
-    builds, kept while perfbench/tracer.py plans its methods (ROADMAP item 8)."""
+    builds, kept while perfbench/tracer.py plans its methods (ROADMAP item 9)."""
 
     __slots__ = ()
     LEGS = 3

@@ -34,6 +34,7 @@ import functools
 import itertools
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -358,6 +359,7 @@ def _block_sum(key: Word, a: int, b: int, cumulants, prefix, memo):
     from the size above or by closing it at q_c = b with kappa[size - 1]:
     each state once."""
     kappa = cumulants[key[a] - 1]
+    get = memo.get  # a method of a dict subclass costs a lookup per call
     q = [p for p in range(a, b) if key[p] == key[a]] + [b]
     c = len(q) - 1
     longest = min(len(kappa), c)  # no block is longer than kappa or than c
@@ -369,7 +371,7 @@ def _block_sum(key: Word, a: int, b: int, cumulants, prefix, memo):
             start, mask = q[i] + 1, prefix[q[i] + 1]
             for j in range(i + 1 if size < longest else c, c + 1):  # blocks end at q_c = b
                 if longer[j] and mask == prefix[q[j]]:
-                    value = memo.get(key[start:q[j]])
+                    value = get(key[start:q[j]])
                     if value is None:
                         value = memo[key[start:q[j]]] = yield start, q[j]
                     term = value * longer[j]  # the first term saves an add of ZERO
@@ -405,6 +407,21 @@ def check_nonnegative(value: Scalar, quantity: str) -> Scalar:
 # the trace functional
 # ---------------------------------------------------------------------------
 
+class _Memo(dict):
+    """A functional's moment memo, word -> tau(word).  memo[w] reads a hit
+    and answers a miss with the functional's `moment`, which stores w or
+    raises; memo.get(w) only peeks, None on a miss.  The functional is
+    reached through a weak proxy, so no reference cycle forms and misses are
+    answered only while the functional lives."""
+
+    def __init__(self, trace: TraceFunctional):
+        super().__init__({(): ONE})
+        self._trace = weakref.proxy(trace)
+
+    def __missing__(self, word: Word) -> Scalar:
+        return self._trace.moment(word)
+
+
 class TraceFunctional:
     """tau induced by a DistributionSpec, memoized over raw words.
 
@@ -412,14 +429,15 @@ class TraceFunctional:
     word length with the tightest limit and looks the word up.  A functional
     owns everything computed from its tau alone: the moment memo, which
     starts with tau() = 1 and each free letter's own moments or the table's
-    entries, read unchecked through `cached`; the free cumulants, inverted
-    once and only by a mixed-word miss or `parity_bits`; the conjugate
-    relations' left sides; and the free-family certificate's per-degree
-    verdicts.  So the first call on a functional pays in full and later calls
-    on it read them; a caller that wants them shared keeps the functional (the
-    CLI keeps one per spec text).  A table is never certified.  A free-family
-    miss is summed on one explicit stack, without recursion (`_nc_moment`),
-    so only a word past the stated limits raises DegreeBoundExceeded.
+    entries, read through `moments`, which answers a miss with `moment`; the
+    free cumulants, inverted once and only by a mixed-word miss or
+    `parity_bits`; the conjugate relations' left sides; and the free-family
+    certificate's per-degree verdicts.  So the first call on a functional pays
+    in full and later calls on it read them; a caller that wants them shared
+    keeps the functional (the CLI keeps one per spec text).  A table is never
+    certified.  A free-family miss is summed on one explicit stack, without
+    recursion (`_nc_moment`), so only a word past the stated limits raises
+    DegreeBoundExceeded.
     """
 
     def __init__(self, spec: DistributionSpec, degree_bound: int = DEFAULT_DEGREE_BOUND):
@@ -441,9 +459,9 @@ class TraceFunctional:
         #: the longest word `moment` evaluates without DegreeBoundExceeded
         self.max_word_length = min(limit for limit, _ in self._limits)
         # the memo holds only words `moment` accepts, so a hit needs no check
-        self._memo: dict[Word, Scalar] = {(): ONE}
-        #: cached(w) is tau(w) if the memo holds w, else None
-        self.cached = self._memo.get
+        #: moments[w] is tau(w): read on a hit, computed by `moment` on a miss
+        #: while this functional lives; moments.get(w) is None on a miss
+        self.moments = self._memo = _Memo(self)
         self._letters = frozenset(range(1, spec.n + 1))
         if isinstance(variant, FreeFamily):
             for letter, seq in enumerate(variant.moments, start=1):
@@ -516,7 +534,7 @@ class TraceFunctional:
         word = tuple(word)
         if len(word) > self.max_word_length:
             self.check_length(len(word))
-        value = self.cached(word)
+        value = self._memo.get(word)
         if value is None:
             if not self._letters.issuperset(word):
                 check_word(word, self.spec.n)

@@ -40,7 +40,7 @@ from ncfree.randmat import (
 )
 from ncfree.reduction import delta_p, extract_leading_coeff, relation_kernel
 from ncfree.scalars import Scalar
-from ncfree.sweeps import rand_nonzero_poly, rand_poly, rand_self_adjoint, rand_word
+from ncfree.sweeps import rand_poly, rand_self_adjoint, rand_word
 
 from conftest import bernoulli_spec, gens
 
@@ -157,14 +157,14 @@ def test_criterion_06_reduction(capsys):
     rng = random.Random(106)
     ok = True
     for _ in range(200):
-        p = rand_nonzero_poly(rng, 2, 6)
+        p = rand_poly(rng, 2, 6)
         degree = p.total_degree()
         word = rand_word(rng, 2, degree, min_len=degree)
         if extract_leading_coeff(trace, p, word) != p.coeff(word):
             ok = False
             break
     for _ in range(100):
-        p = rand_nonzero_poly(rng, 2, 4)
+        p = rand_poly(rng, 2, 4)
         degree = p.total_degree()
         word = rand_word(rng, 2, degree, min_len=degree)
         twists = [rand_self_adjoint(rng, 2, 2) for _ in word]
@@ -252,7 +252,7 @@ def test_criterion_10_margins(capsys):
     rng = random.Random(110)
     worst = float("inf")
     for _ in range(50):
-        p = rand_nonzero_poly(rng, 2, 4)
+        p = rand_poly(rng, 2, 4)
         j = rng.randint(1, 2)
         margins = empirical_margins(cand, j, p, tuples)
         worst = min(worst, min(margins.all_margins()))

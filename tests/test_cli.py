@@ -12,7 +12,7 @@ import pytest
 import ncfree
 from ncfree import NcPoly, randmat
 from ncfree.cli import main
-from ncfree.sweeps import rand_nonzero_poly
+from ncfree.sweeps import rand_poly
 
 from conftest import gens, run_python
 
@@ -493,7 +493,7 @@ def test_margins_draws_its_ensemble_once(semicircular_spec, capsys, monkeypatch)
     rng = random.Random(2)
     expected = []
     for _ in range(3):
-        p = rand_nonzero_poly(rng, 2, 3)
+        p = rand_poly(rng, 2, 3)
         j = rng.randint(1, 2)
         report = randmat.empirical_margins(cand, j, p, randmat.sample(config))
         expected.append({"poly": p.to_text(), "j": j, **report.to_dict()})

@@ -305,7 +305,7 @@ def test_a_second_candidate_on_one_functional_sums_no_split(monkeypatch):
 def test_a_stored_zero_moment_is_a_hit(monkeypatch):
     trace = TraceFunctional(DistributionSpec.standard_semicircular(2))
     cold = check_conjugate(ConjugateCandidate(gens(2), trace), degree=6)
-    assert trace.cached((1, 2, 1, 2)) == Scalar(0)  # read at w = (2 1 2) for j = 1
+    assert trace.moments.get((1, 2, 1, 2)) == Scalar(0)  # read at w = (2 1 2) for j = 1
     calls = []
     original = TraceFunctional.moment
 
@@ -315,6 +315,32 @@ def test_a_stored_zero_moment_is_a_hit(monkeypatch):
 
     monkeypatch.setattr(TraceFunctional, "moment", counting)
     assert check_conjugate(ConjugateCandidate(gens(2), trace), degree=6) == cold
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", [
+    DistributionSpec.standard_semicircular(2),
+    DistributionSpec(2, FreeFamily((BERNOULLI_MOMENTS, (1, 2, 5, 14, 42, 132, 429, 1430)))),
+], ids=["semicircular-2", "bernoulli-and-free-poisson"])
+def test_a_cold_sweep_calls_moment_once_per_missed_word(monkeypatch, spec):
+    # the memo answers a miss through TraceFunctional.moment, so a count of its
+    # calls, as the benchmark tracer takes, still counts the words missed
+    calls = []
+    original = TraceFunctional.moment
+
+    def counting(self, word):
+        calls.append((word, self.moments.get(word) is None))
+        return original(self, word)
+
+    monkeypatch.setattr(TraceFunctional, "moment", counting)
+    trace = TraceFunctional(spec)
+    cand = ConjugateCandidate(gens(2), trace)
+    check_conjugate(cand, degree=6)
+    words = [word for word, _ in calls]
+    assert calls and all(missed for _, missed in calls)
+    assert len(set(words)) == len(words)
+    calls.clear()
+    check_conjugate(cand, degree=6)
     assert calls == []
 
 
@@ -337,7 +363,7 @@ def test_a_functional_with_a_changed_moment_leaves_no_stale_left_side():
     # and none of them enters the first functional
     assert check_conjugate(ConjugateCandidate(gens(2), trace), degree=5).passed
     assert trace.left_sides[1][(1, 1, 1)] == Scalar(2)
-    assert trace.cached((1, 1)) == Scalar(1)
+    assert trace.moments.get((1, 1)) == Scalar(1)
     assert trace.certified == {}
 
 
@@ -561,6 +587,14 @@ def test_rand_word_draws_what_randint_draws():
                         assert word == tuple(reference.randint(1, n) for _ in range(length))
                     assert rng.getstate() == reference.getstate()
 
+
+
+def test_rand_poly_is_never_zero():
+    for seed in range(200):
+        rng = random.Random(seed)
+        for n, max_deg, max_terms in itertools.product(range(1, 4), range(5), range(1, 5)):
+            for complex_coeffs in (True, False):
+                assert not rand_poly(rng, n, max_deg, max_terms, complex_coeffs).is_zero()
 
 
 def test_rand_word_rejects_an_empty_range_before_any_draw():

@@ -177,7 +177,7 @@ OUTSIDE_TRACE = [path for path in MODULES if path.name != "trace.py"]
 
 @pytest.mark.parametrize("path", OUTSIDE_TRACE, ids=[path.name for path in OUTSIDE_TRACE])
 def test_only_trace_reads_the_private_names_of_a_trace(path):
-    # the memo and the parity rule are read through TraceFunctional.cached
+    # the memo and the parity rule are read through TraceFunctional.moments
     # and TraceFunctional.parity_bits, so how they are kept can change in trace.py alone
     private = private_trace_names()
     assert {"_memo", "_cumulants", "_limits"} <= private

@@ -31,7 +31,7 @@ from ncfree.randmat import (
 )
 from ncfree.randmat import _diagonal_table, _draw, _spectral_norm
 from ncfree.scalars import Scalar
-from ncfree.sweeps import rand_nonzero_poly
+from ncfree.sweeps import rand_poly
 
 from conftest import gens, run_python
 from oracles import (
@@ -531,8 +531,8 @@ def test_empirical_margins_are_norm_margins_at_the_measured_norms():
     config = gue_config(2, 30, 3)
     rng = random.Random(15)
     for _ in range(6):
-        p = rand_nonzero_poly(rng, 2, 3)
-        q = rand_nonzero_poly(rng, 2, 2)
+        p = rand_poly(rng, 2, 3)
+        q = rand_poly(rng, 2, 2)
         j = rng.randint(1, 2)
         measured = empirical_margins(cand, j, p, sample(config), q=q)
         given = norm_margins(

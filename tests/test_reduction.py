@@ -26,7 +26,7 @@ from ncfree.reduction import (
     relation_kernel,
 )
 from ncfree.scalars import Scalar
-from ncfree.sweeps import rand_nonzero_poly, rand_self_adjoint, rand_word
+from ncfree.sweeps import rand_poly, rand_self_adjoint, rand_word
 from ncfree.trace import ExplicitMoments, FreeFamily, SemicircularFamily
 
 from conftest import bernoulli_spec, gens, write_spec
@@ -51,7 +51,7 @@ def test_delta_on_small_monomials(trace2):
 
 def test_delta_drops_degree(rng, trace2):
     for _ in range(20):
-        p = rand_nonzero_poly(rng, 2, 5)
+        p = rand_poly(rng, 2, 5)
         out = delta(trace2, 1, p)
         if not out.is_zero():
             assert out.total_degree() < p.total_degree()
@@ -78,7 +78,7 @@ def test_extract_requires_maximal_length(trace2):
 
 def test_extract_random_polynomials(rng, trace2):
     for _ in range(60):
-        p = rand_nonzero_poly(rng, 2, 5)
+        p = rand_poly(rng, 2, 5)
         degree = p.total_degree()
         word = rand_word(rng, 2, degree, min_len=degree)
         assert extract_leading_coeff(trace2, p, word) == p.coeff(word)
@@ -95,7 +95,7 @@ def test_delta_p_rejects_a_twist_that_is_not_self_adjoint(trace2):
 
 def test_delta_p_with_unit_weight_is_delta(rng, trace2):
     for _ in range(15):
-        p = rand_nonzero_poly(rng, 2, 4)
+        p = rand_poly(rng, 2, 4)
         assert delta_p(trace2, NcPoly.one(2), 1, p) == delta(trace2, 1, p)
 
 
@@ -103,7 +103,7 @@ def test_weighted_iteration_identity(rng, trace2):
     # iterating delta_{q_k, i_k} along the word of a maximal-degree term
     # yields prod tau(q_k) times that term's coefficient
     for _ in range(30):
-        p = rand_nonzero_poly(rng, 2, 4)
+        p = rand_poly(rng, 2, 4)
         degree = p.total_degree()
         word = rand_word(rng, 2, degree, min_len=degree)
         twists = [rand_self_adjoint(rng, 2, 2) for _ in word]

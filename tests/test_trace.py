@@ -15,6 +15,7 @@ from ncfree import DistributionSpec, NcPoly, TensorPoly2, TraceFunctional
 from ncfree.errors import (
     DegreeBoundExceeded,
     IndexOutOfRange,
+    NcfreeError,
     NonPositiveMoments,
     UnknownMoment,
 )
@@ -222,16 +223,16 @@ def test_parity_bits_mark_the_symmetric_free_letters():
         assert TraceFunctional(spec).parity_bits == bits
 
 
-def test_cached_reads_what_moment_stores():
+def test_moments_get_reads_what_moment_stores():
     mixed = DistributionSpec(2, FreeFamily((BERNOULLI_MOMENTS, POISSON_MOMENTS)))
     for spec in [DistributionSpec.standard_semicircular(2), mixed]:
         trace = TraceFunctional(spec)
-        assert trace.cached(()) == Scalar(1)
+        assert trace.moments.get(()) == Scalar(1)
         # an even word that is summed, and one odd in letter 1 that parity answers
         for word in [(1, 2, 1, 1, 2, 1), (2, 1, 2)]:
-            assert trace.cached(word) is None
+            assert trace.moments.get(word) is None
             value = trace.moment(word)
-            assert trace.cached(word) == value
+            assert trace.moments.get(word) == value
 
 
 LETTER_CHECK_SPECS = {
@@ -248,12 +249,50 @@ def test_a_letter_outside_1_to_n_raises_before_anything_is_stored(name):
     for word, bad in [((0,), 0), ((0, 0), 0), ((1, 3), 3), ((3, 3), 3), ((2, -1, 2), -1)]:
         with pytest.raises(IndexOutOfRange, match=f"^letter {bad} outside 1..2$"):
             trace.moment(word)
-        assert trace.cached(word) is None
+        assert trace.moments.get(word) is None
     with pytest.raises(IndexOutOfRange, match="^letter 3 outside 1..2$"):
         trace.trace_poly(NcPoly.monomial(3, (1, 3)))
-    assert trace.cached((1, 3)) is None
+    assert trace.moments.get((1, 3)) is None
     # a polynomial over more letters that uses only 1..n still has a trace
     assert trace.trace_poly(NcPoly.monomial(3, (1, 1))) == Scalar(1)
+
+
+MOMENTS_SPECS = {
+    "semicircular-2": DistributionSpec.standard_semicircular(2),
+    "bernoulli-and-free-poisson": DistributionSpec(
+        2, FreeFamily((BERNOULLI_MOMENTS, POISSON_MOMENTS))
+    ),
+    "table": DistributionSpec(2, ExplicitMoments({(1, 1): 1, (2, 2): 1}, 4)),
+}
+
+
+def raised(call, word):
+    """The type and message of the error that call(word) raises."""
+    with pytest.raises(NcfreeError) as info:
+        call(word)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("name", list(MOMENTS_SPECS))
+def test_moments_reads_computes_and_refuses_as_moment_does(name):
+    trace = TraceFunctional(MOMENTS_SPECS[name])
+    moments = trace.moments
+    assert moments[()] == Scalar(1) and moments[(1, 1)] == trace.moment((1, 1))
+    if trace.free:
+        # an even word that is summed, and one odd in letter 1 that parity answers
+        for word in [(1, 2, 1, 1, 2, 1), (2, 1, 2)]:
+            assert moments.get(word) is None
+            value = moments[word]
+            assert moments.get(word) == value == trace.moment(word)
+            assert value == TraceFunctional(MOMENTS_SPECS[name]).moment(word)
+    refused = [((1,) * (trace.max_word_length + 1), DegreeBoundExceeded)]
+    refused += [(word, IndexOutOfRange) for word in [(0,), (0, 0), (1, 3), (3, 3), (2, -1, 2)]]
+    if not trace.free:
+        refused.append(((1, 2), UnknownMoment))
+    for word, kind in refused:
+        error = raised(moments.__getitem__, word)
+        assert error[0] is kind and error == raised(trace.moment, word)
+        assert moments.get(word) is None
 
 
 def test_memo_holds_only_words_moment_accepts():
@@ -340,6 +379,31 @@ def test_shared_memos_are_bounded(tmp_path):
         assert len(ncfree.cli._traces) == min(variance, bound)
     gc.collect()
     assert [ref() is not None for ref in kept] == [False] + [True] * bound
+
+
+def test_an_evicted_functional_is_freed_without_the_cycle_collector(tmp_path):
+    # the memo reaches its functional weakly: a memo that held it would form a
+    # cycle that only gc.collect() frees
+    bound = ncfree.cli.SHARED_DISTRIBUTIONS
+    paths = [
+        write_spec(tmp_path / f"{variance}.json", DistributionSpec(2, SemicircularFamily((variance, 1))))
+        for variance in range(1, bound + 2)
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        argv = ["verify-conjugate", "--spec", paths[0], "--xi", "1 * Z 1;1 * Z 2"]
+        assert ncfree.cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+        [first] = ncfree.cli._traces.values()
+        assert first.left_sides  # the sweep ran on it, its memo answering the misses
+        kept = [weakref.ref(first)]
+        del first
+        for path in paths[1:]:
+            kept.append(weakref.ref(ncfree.cli.trace_from(ncfree.cli.load_spec_file(path))))
+        assert [ref() is not None for ref in kept] == [False] + [True] * bound
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_left_sides_live_and_are_cleared_with_the_shared_memo(tmp_path):
