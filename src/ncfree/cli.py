@@ -3,6 +3,8 @@
 One call, one command.  Every run emits a metadata block (version, seed,
 spec digest, RNG name) so results are traceable; CSV payloads are free of
 timestamps and therefore byte-identical across reruns with the same seed.
+A structured run prints one line of JSON, an object holding `metadata` and
+`result`; `python -m json.tool` pretty-prints it.
 
 `main(argv)` returns the exit status and may be called many times in one
 process: the argument parser is built on the first call and reused, and no
@@ -203,6 +205,14 @@ def make_metadata(args, data: dict) -> dict:
 
 
 def emit(args, data: dict, result: dict, csv_rows: list[list[str]] | None = None) -> None:
+    """Write the run's output to --out or stdout.
+
+    A structured run writes one line of JSON, {"metadata": ..., "result": ...},
+    and a newline; `python -m json.tool` pretty-prints it.  The line is not
+    indented, since CPython's C JSON encoder serves only unindented output.
+    A CSV run writes `csv_rows` (or the flattened result) and puts the
+    metadata on stderr.
+    """
     metadata = make_metadata(args, data)
     if args.format == "csv":
         rows = csv_rows if csv_rows is not None else _flatten_csv(result)
@@ -214,7 +224,7 @@ def emit(args, data: dict, result: dict, csv_rows: list[list[str]] | None = None
         # metadata never enters the CSV payload, to keep reruns byte-identical
         print(json.dumps({"metadata": metadata}), file=sys.stderr)
     else:
-        document = json.dumps({"metadata": metadata, "result": result}, indent=2)
+        document = json.dumps({"metadata": metadata, "result": result})
         if args.out:
             write_out(args.out, document + "\n")
         else:

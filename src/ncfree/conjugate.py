@@ -154,7 +154,8 @@ def _left_side(word: Word, j: int, trace: TraceFunctional) -> Scalar:
             if left:
                 right = moments[word[pos + 1:]]
                 if right:
-                    lhs = lhs + left * right
+                    # the first term as it is: ZERO + term rebuilds the same triple
+                    lhs = left * right if lhs is ZERO else lhs + left * right
         head_mask ^= bits[letter]
     return lhs
 
@@ -205,7 +206,7 @@ def check_conjugate(cand: ConjugateCandidate, degree: int) -> VerificationReport
             for u, coeff in terms:
                 value = moments[u + word]
                 if value:
-                    rhs = rhs + coeff * value
+                    rhs = coeff * value if rhs is ZERO else rhs + coeff * value
             if lhs != rhs:
                 failures.append((j, word, lhs, rhs))
                 if mirror and reverse != word:

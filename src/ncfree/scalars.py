@@ -155,10 +155,12 @@ class Scalar:
     # Grammar: `a/b` for real scalars, `a/b+c/d i` (or `a/b-c/d i`) otherwise.
 
     def __str__(self):
-        if not self._im:
-            return str(self.re)
-        sign = "+" if self._im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)} i"
+        re, im, den = self._re, self._im, self._den
+        if not im:
+            # gcd(re, den) == 1 here, so re/den is already in lowest terms
+            return str(re) if den == 1 else f"{re}/{den}"
+        sign = "+" if im > 0 else "-"
+        return f"{_ratio(re, den)}{sign}{_ratio(abs(im), den)} i"
 
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
@@ -180,6 +182,14 @@ class Scalar:
         if m.group("sign") == "-":
             im_part = -im_part
         return Scalar(re_part, im_part)
+
+
+def _ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    g = gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 _new = object.__new__

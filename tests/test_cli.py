@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -658,6 +659,72 @@ def test_output_file(semicircular_spec, tmp_path):
     assert code == 0
     document = json.loads(out.read_text())
     assert document["result"]["passed"] is True
+
+
+def test_a_structured_document_is_one_line(semicircular_spec, tmp_path, capsys):
+    # xi_1 = 2 Z_1 doubles tau(xi_1 w) and leaves (tau (x) tau)(d_1 w) alone, so
+    # every word of odd degree in Z_1, even in Z_2, on which the latter is not 0
+    # fails: (tau (x) tau)(d_1 w) = 1, 2, 1, 1 on 1, 1 1 1, 1 2 2, 2 2 1
+    argv = ["verify-conjugate", "--spec", semicircular_spec]
+    argv += ["--xi", "2 * Z 1;1 * Z 2", "--degree", "3"]
+    out = tmp_path / "failing.json"
+    assert main(argv) == 1
+    printed = capsys.readouterr().out
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    written = out.read_text()
+    expected = {
+        "metadata": {
+            "version": ncfree.__version__,
+            "command": "verify-conjugate",
+            "seed": 0,
+            "spec_digest": hashlib.sha256(Path(semicircular_spec).read_bytes()).hexdigest(),
+            "rng": "numpy-pcg64",
+        },
+        "result": {
+            "max_degree_checked": 3,
+            "passed": False,
+            "failures": [
+                {"j": 1, "word": [1], "lhs": "1", "rhs": "2"},
+                {"j": 1, "word": [1, 1, 1], "lhs": "2", "rhs": "4"},
+                {"j": 1, "word": [1, 2, 2], "lhs": "1", "rhs": "2"},
+                {"j": 1, "word": [2, 2, 1], "lhs": "1", "rhs": "2"},
+            ],
+        },
+    }
+    for text in (printed, written):
+        assert text.endswith("\n") and text.count("\n") == 1, text
+        assert comparable(text) == expected
+
+
+# the C encoder serves json.dumps only without indent; where the interpreter
+# lacks it, every document goes through _make_iterencode and this cannot hold
+@pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C JSON encoder")
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify-conjugate", "--xi", "1 * Z 1;1 * Z 2"], 0),
+        (["verify-conjugate", "--xi", "2 * Z 1;1 * Z 2"], 1),
+        (["relations", "--degree", "2"], 0),
+        (["report", "--xi", "1 * Z 1;1 * Z 2", "--degree", "2"], 0),
+        (["duality", "--trials", "5", "--degree", "3"], 0),
+        (["spectrum", "--poly", "1 * Z 1"], 0),
+        (["margins", "--xi", "1 * Z 1;1 * Z 2", "--trials", "2", "--degree", "2"], 0),
+        (["reduce", "--poly", "3 * Z 1 2 + 1 * Z 1", "--word", "1,2"], 0),
+    ],
+    ids=["verify-passing", "verify-failing", "relations", "report", "duality",
+         "spectrum", "margins", "reduce"],
+)
+def test_structured_documents_use_the_c_encoder(semicircular_spec, capsys, monkeypatch, argv, code):
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("a document went through the pure-Python JSON encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    assert main([argv[0], "--spec", semicircular_spec, *argv[1:]]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out)["metadata"]["command"] == argv[0]
 
 
 # -- usage errors at the boundary ----------------------------------------------------

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ncfree.scalars import Scalar
@@ -70,6 +70,24 @@ def pair_text(a, b):
     if b == 0:
         return str(a)
     return f"{a}{'+' if b > 0 else '-'}{abs(b)} i"
+
+
+# the parts of `scalars`; 1/3 and 1/2 share the triple's den 6 and reduce apart
+@given(fractions, fractions)
+@example(Fraction(1, 3), Fraction(1, 2))
+@example(Fraction(-5, 6), Fraction(-3, 4))
+@example(Fraction(0), Fraction(-1))
+@example(Fraction(-7, 3), Fraction(0))
+def test_text_is_the_fraction_text_of_each_part(re, im):
+    assert str(Scalar(re, im)) == pair_text(re, im)
+
+
+def test_text_forms():
+    assert str(Scalar(Fraction(1, 3), Fraction(1, 2))) == "1/3+1/2 i"
+    assert str(Scalar(Fraction(-5, 6), Fraction(-3, 4))) == "-5/6-3/4 i"
+    assert str(Scalar(0, -1)) == "0-1 i"
+    assert str(Scalar(Fraction(-7, 3))) == "-7/3"
+    assert str(Scalar(0)) == "0"
 
 
 def assert_matches(value, pair):
